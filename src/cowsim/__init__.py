@@ -34,7 +34,6 @@ from .optimize import (
     visibility_robustness,
 )
 from .simulation import (
-    SymbolKind,
     SymbolStream,
     OpticsConfig,
     DetectionRecord,
@@ -45,7 +44,6 @@ from .simulation import (
     UndefinedEstimateError,
     generate_symbols,
     propagate,
-    interfere,
     interferometer_outputs,
     detect,
     run_simulation,

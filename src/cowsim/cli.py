@@ -43,26 +43,6 @@ def _metadata(cfg: RunConfig, command: str) -> list[str]:
     return [f"# cowsim {__version__}", f"# command = {command}"] + cfg.metadata_lines()
 
 
-def _build_config(args, preset: dict | None = None) -> RunConfig:
-    cfg = RunConfig()
-    if preset:
-        cfg.apply_preset(preset)
-    if args.config:
-        cfg.load_file(args.config)
-    for item in args.set or []:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, _, val = item.partition("=")
-        cfg.set(key.strip(), val.strip())
-    if getattr(args, "seed", None) is not None:
-        cfg.set("seed", args.seed, raw=False)
-    if getattr(args, "protocol", None):
-        cfg.set("protocol", args.protocol)
-    if getattr(args, "pns_model", None):
-        cfg.set("pns_model", args.pns_model)
-    return cfg
-
-
 def cmd_keyrate(cfg: RunConfig, out_path) -> int:
     params = cfg.params()
     try:
@@ -142,11 +122,9 @@ def cmd_simulate(cfg: RunConfig, out_path, dump_events=None) -> int:
         report.monitoring_rate_per_pulse, pred_v, pred_i)))
     _emit(out_path, lines)
     if dump_events:
-        from .simulation import run_simulation
-        sim = run_simulation(cfg.optics(), cfg["n_symbols"], cfg["seed"], attack)
         ev = _metadata(cfg, "simulate-events")
         ev.append("detector,sequence_index,slot_index")
-        rec = sim.record
+        rec = report.record
         for name, seqs, slots in (("D_B", rec.d_b_seq, rec.d_b_slot),
                                   ("D_M1", rec.d_m1_seq, rec.d_m1_slot),
                                   ("D_M2", rec.d_m2_seq, rec.d_m2_slot)):
@@ -201,8 +179,13 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        preset = EXPERIMENT_PRESET if args.command == "experiment" else None
-        cfg = _build_config(args, preset)
+        # the dedicated flags are the last overrides
+        flags = [f"{key}={value}" for key, value in (
+            ("seed", args.seed), ("protocol", args.protocol),
+            ("pns_model", args.pns_model)) if value is not None]
+        cfg = RunConfig.from_sources(
+            args.config, (args.set or []) + flags,
+            EXPERIMENT_PRESET if args.command == "experiment" else None)
         if args.command == "keyrate":
             return cmd_keyrate(cfg, args.out)
         if args.command == "curve":

@@ -87,17 +87,19 @@ EXPERIMENT_VISIBILITIES = {"raw": 0.92, "net": 0.98}
 class RunConfig:
     """Typed view over the flat key space."""
 
-    def __init__(self, values: dict | None = None):
+    def __init__(self):
         self.values = {k: d for k, (d, _) in DEFAULTS.items()}
         self.explicit: set[str] = set()
-        if values:
-            for k, v in values.items():
-                self.set(k, v, raw=False)
 
     @classmethod
     def from_sources(cls, path: str | None = None,
-                     overrides: list[str] | None = None) -> "RunConfig":
+                     overrides: list[str] | None = None,
+                     preset: dict | None = None) -> "RunConfig":
+        """Resolve defaults, then the preset, then the file, then each
+        key=value override in order; later sources win."""
         cfg = cls()
+        for key, value in (preset or {}).items():
+            cfg.set(key, value, raw=False, explicit=False)
         if path:
             cfg.load_file(path)
         for item in overrides or []:
@@ -133,10 +135,6 @@ class RunConfig:
 
     def __getitem__(self, key: str):
         return self.values[key]
-
-    def apply_preset(self, preset: dict):
-        for k, v in preset.items():
-            self.set(k, v, raw=False, explicit=False)
 
     # ---- typed accessors -------------------------------------------------
 

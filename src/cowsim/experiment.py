@@ -9,18 +9,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rates import ProtocolParams
 from .simulation import (
     BIT0,
     BIT1,
     DECOY,
+    OpticsConfig,
     QberEstimate,
     UndefinedEstimateError,
-    _suppress_deadtime,
-    _wilson,
-    estimate_visibility,
-    interferometer_outputs,
-    stage_rng,
+    _monitoring_tally,
+    _pulse_train,
+    _run_chain,
+    estimate_qber,
 )
 
 __all__ = ["FRAME_PATTERNS", "ExperimentConfig", "ExperimentResult", "run_experiment"]
@@ -38,24 +37,25 @@ DETECTORS = ("D_B", "D_M1", "D_M2")
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    params: ProtocolParams
-    insertion_loss: float = 0.5
-    gate_ns: float = 25.0
+class ExperimentConfig(OpticsConfig):
+    """The optics of a framed run: n_frames repetitions of a pulse pattern,
+    one every frame_period_ns, with the range checks of OpticsConfig."""
+
     deadtime_ns: float = 10000.0
     frame_period_ns: float = 1e9 / 600e3
     n_frames: int = 600000
     pattern: str = "D010"
-    background: float = 0.0
 
     def __post_init__(self):
+        super().__post_init__()
         if self.pattern not in FRAME_PATTERNS:
             raise ValueError(f"unknown frame pattern {self.pattern!r}")
         if self.n_frames <= 0:
             raise ValueError("n_frames must be positive")
         frame_ns = 2 * len(FRAME_PATTERNS[self.pattern]) * self.params.pulse_period_ns
-        if self.frame_period_ns < frame_ns:
-            raise ValueError("frame_period_ns shorter than the pulse train")
+        if not frame_ns <= self.frame_period_ns < math.inf:
+            raise ValueError("frame_period_ns must be finite and no shorter "
+                             "than the pulse train")
 
 
 @dataclass
@@ -68,22 +68,8 @@ class ExperimentResult:
     qber: QberEstimate | None
     v_10: float
     v_d: float
-    v_10_defined: bool
-    v_d_defined: bool
     n_frames: int
     duration_s: float
-
-
-def _frame_amplitudes(pattern: str, mu: float) -> np.ndarray:
-    kinds = FRAME_PATTERNS[pattern]
-    amps = np.zeros(2 * len(kinds))
-    a = math.sqrt(mu)
-    for k, kind in enumerate(kinds):
-        if kind != BIT1:
-            amps[2 * k] = a
-        if kind != BIT0:
-            amps[2 * k + 1] = a
-    return amps
 
 
 def run_experiment(config: ExperimentConfig, seed: int) -> ExperimentResult:
@@ -94,93 +80,32 @@ def run_experiment(config: ExperimentConfig, seed: int) -> ExperimentResult:
     Dark counts fill every gated slot. Deadtime is applied per detector on the
     absolute click times, so one click can mask several following frames.
     """
-    params = config.params
-    tau = params.pulse_period_ns
-    kinds = FRAME_PATTERNS[config.pattern]
-    n_pulses = 2 * len(kinds)
+    tau = config.params.pulse_period_ns
+    frame = _pulse_train(np.array(FRAME_PATTERNS[config.pattern], dtype=np.int8),
+                         config.params.mu)
+    n_pulses = 2 * frame.n_symbols
     n_slots = max(int(config.gate_ns // tau) + 1, n_pulses + 1)
+    clicks = dict(zip(DETECTORS, _run_chain(
+        config, frame, seed, (_STAGE_EXP_DATA, _STAGE_EXP_M1, _STAGE_EXP_M2),
+        config.n_frames, n_slots, config.frame_period_ns)))
 
-    amps = _frame_amplitudes(config.pattern, params.mu)
-    data_i = np.zeros(n_slots)
-    data_i[:n_pulses] = amps ** 2 * params.t * params.t_b
-    mon_amp = np.sqrt(amps ** 2 * params.t * (1.0 - params.t_b))
-    i_m1 = np.zeros(n_slots)
-    i_m2 = np.zeros(n_slots)
-    m1, m2 = interferometer_outputs(mon_amp, np.zeros(n_pulses),
-                                    params.v, config.insertion_loss)
-    i_m1[:n_pulses + 1] = m1
-    i_m2[:n_pulses + 1] = m2
-
-    keep_prob = (1.0 - params.p_d) * (1.0 - config.background)
-    stages = (_STAGE_EXP_DATA, _STAGE_EXP_M1, _STAGE_EXP_M2)
-    intensities = (data_i, i_m1, i_m2)
-    counts = {}
-    accepted = {}
-    for name, stage, intensity in zip(DETECTORS, stages, intensities):
-        p = 1.0 - keep_prob * np.exp(-params.eta * intensity)
-        clicks = stage_rng(seed, stage).random((config.n_frames, n_slots)) < p
-        ff, ss = np.nonzero(clicks)  # row-major: ascending absolute time
-        if config.deadtime_ns > 0.0:
-            times = ff * config.frame_period_ns + ss * tau
-            keep = _suppress_deadtime(times, config.deadtime_ns)
-            ff, ss = ff[keep], ss[keep]
-        counts[name] = np.bincount(ss, minlength=n_slots)
-        accepted[name] = (ff, ss)
-
+    counts = {name: np.bincount(ss, minlength=n_slots) for name, (_, ss) in clicks.items()}
     duration_s = config.n_frames * config.frame_period_ns * 1e-9
-    rate_hz = {name: len(accepted[name][0]) / duration_s for name in DETECTORS}
-    raw_rate_hz = sum(rate_hz.values())
+    rate_hz = {name: len(ss) / duration_s for name, (_, ss) in clicks.items()}
 
-    qber = _frame_qber(accepted["D_B"], kinds, n_pulses)
-
-    # interference slots of the pattern: inside each decoy, and at each
-    # bit1 -> bit0 boundary (output slot j mixes pulses j-1 and j)
-    d_slots = [2 * k + 1 for k, kind in enumerate(kinds) if kind == DECOY]
-    b_slots = [2 * k + 2 for k in range(len(kinds) - 1)
-               if kinds[k] == BIT1 and kinds[k + 1] == BIT0]
-    n1d = int(counts["D_M1"][d_slots].sum())
-    n2d = int(counts["D_M2"][d_slots].sum())
-    n110 = int(counts["D_M1"][b_slots].sum())
-    n210 = int(counts["D_M2"][b_slots].sum())
+    ff, ss = clicks["D_B"]
+    in_train = ss < n_pulses  # later gated slots hold dark counts only
+    ff, ss = ff[in_train], ss[in_train]
     try:
-        v_d, v_d_defined = estimate_visibility(n1d, n2d), True
+        qber = estimate_qber(ff * frame.n_symbols + ss // 2, ss % 2,
+                             frame.kinds[ss // 2])
     except UndefinedEstimateError:
-        v_d, v_d_defined = float("nan"), False
-    try:
-        v_10, v_10_defined = estimate_visibility(n110, n210), True
-    except UndefinedEstimateError:
-        v_10, v_10_defined = float("nan"), False
+        qber = None
+    stats = _monitoring_tally(frame.kinds, clicks["D_M1"][1], clicks["D_M2"][1])
 
     return ExperimentResult(
         slot_times_ns=np.arange(n_slots) * tau,
-        counts=counts, clicks=accepted, rate_hz=rate_hz, raw_rate_hz=raw_rate_hz,
-        qber=qber, v_10=v_10, v_d=v_d,
-        v_10_defined=v_10_defined, v_d_defined=v_d_defined,
+        counts=counts, clicks=clicks, rate_hz=rate_hz,
+        raw_rate_hz=sum(rate_hz.values()), qber=qber,
+        v_10=stats.v_10, v_d=stats.v_d,
         n_frames=config.n_frames, duration_s=duration_s)
-
-
-def _frame_qber(accepted, kinds, n_pulses) -> QberEstimate | None:
-    """Wrong-slot fraction among single-click bit symbols of the pattern."""
-    ff, ss = accepted
-    in_train = ss < n_pulses
-    ff, ss = ff[in_train], ss[in_train]
-    if len(ss) == 0:
-        return None
-    sym = ss // 2
-    keys = ff * len(kinds) + sym
-    uniq, idx, cnt = np.unique(keys, return_index=True, return_counts=True)
-    single = cnt == 1
-    ss_single = ss[idx[single]]
-    sym_single = (uniq[single] % len(kinds)).astype(int)
-    kind_arr = np.asarray(kinds)
-    is_bit = kind_arr[sym_single] != DECOY
-    if not np.any(is_bit):
-        return None
-    signal_slot = np.where(kind_arr[sym_single] == BIT1,
-                           2 * sym_single + 1, 2 * sym_single)
-    wrong = is_bit & (ss_single != signal_slot)
-    n_err = int(np.count_nonzero(wrong))
-    n_sift = int(np.count_nonzero(is_bit))
-    lo, hi = _wilson(n_err, n_sift)
-    return QberEstimate(value=n_err / n_sift, lo=lo, hi=hi,
-                        n_errors=n_err, n_sifted=n_sift)

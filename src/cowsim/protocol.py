@@ -28,8 +28,6 @@ from .simulation import (
     OpticsConfig,
     QberEstimate,
     SymbolStream,
-    UndefinedEstimateError,
-    estimate_visibility,
     run_simulation,
     visibility_stderr,
 )
@@ -119,6 +117,7 @@ class ProtocolReport:
     empirical_r: float
     monitoring_rate_per_pulse: float
     attack_log: object | None = None
+    record: DetectionRecord | None = None
 
 
 def announce(record: DetectionRecord) -> Announcement:
@@ -164,24 +163,21 @@ def estimate_parameters(stats: MonitoringStats, q: float,
     rule, and Eve's information computed from the worst visibility.
 
     The protocol demands equal visibilities across the two classes; the test
-    is |v_10 - v_d| against tolerance_sigmas combined standard errors. An
-    undefined class aborts with its own reason code.
+    is |v_10 - v_d| against tolerance_sigmas combined standard errors, which
+    must be finite and positive. An undefined class aborts with its own reason
+    code.
     """
-    try:
-        v_d = estimate_visibility(stats.n_m1_d, stats.n_m2_d)
-    except UndefinedEstimateError:
-        return EstimationReport(v_10=float("nan"), se_10=0.0, v_d=float("nan"),
-                                se_d=0.0, q=q, abort=True,
-                                reason=AbortReason.NO_DECOY_STATISTICS,
-                                i_eve=1.0, i_eve_feasible=False)
-    try:
-        v_10 = estimate_visibility(stats.n_m1_10, stats.n_m2_10)
-    except UndefinedEstimateError:
-        return EstimationReport(v_10=float("nan"), se_10=0.0, v_d=v_d,
-                                se_d=visibility_stderr(stats.n_m1_d, stats.n_m2_d),
-                                q=q, abort=True,
-                                reason=AbortReason.NO_BIT_PAIR_STATISTICS,
-                                i_eve=1.0, i_eve_feasible=False)
+    if not 0.0 < tolerance_sigmas < math.inf:
+        raise ValueError(f"tolerance_sigmas must be finite and > 0, got {tolerance_sigmas}")
+    v_d, v_10 = stats.v_d, stats.v_10
+    if math.isnan(v_d) or math.isnan(v_10):
+        no_decoy = math.isnan(v_d)
+        return EstimationReport(
+            v_10=float("nan"), se_10=0.0, v_d=v_d,
+            se_d=0.0 if no_decoy else visibility_stderr(stats.n_m1_d, stats.n_m2_d),
+            q=q, abort=True, i_eve=1.0, i_eve_feasible=False,
+            reason=AbortReason.NO_DECOY_STATISTICS if no_decoy
+            else AbortReason.NO_BIT_PAIR_STATISTICS)
 
     se_10 = visibility_stderr(stats.n_m1_10, stats.n_m2_10)
     se_d = visibility_stderr(stats.n_m1_d, stats.n_m2_d)
@@ -246,4 +242,5 @@ def run_protocol(config: OpticsConfig, n_symbols: int, seed: int,
         empirical_r=sim.summary.empirical_r,
         monitoring_rate_per_pulse=sim.summary.monitoring_rate_per_pulse,
         attack_log=sim.attack_log,
+        record=sim.record,
     )

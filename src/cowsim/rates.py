@@ -114,10 +114,12 @@ class ProtocolParams:
     pulse_period_ns: float = 1.0
 
     def __post_init__(self):
-        if not self.mu >= 0.0:
-            raise ValueError(f"mu must be >= 0, got {self.mu}")
-        if not self.loss_db >= 0.0:
-            raise ValueError(f"loss_db must be >= 0, got {self.loss_db}")
+        if not 0.0 <= self.mu < math.inf:
+            raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
+        # an infinite or huge loss underflows the transmission to zero
+        if not (self.loss_db >= 0.0 and self.t > 0.0):
+            raise ValueError(f"loss_db must be >= 0 with a nonzero transmission, "
+                             f"got {self.loss_db}")
         if not 0.0 <= self.f < 1.0:
             raise ValueError(f"f must be in [0, 1), got {self.f}")
         if not 0.0 < self.t_b <= 1.0:
@@ -128,8 +130,9 @@ class ProtocolParams:
             raise ValueError(f"p_d must be in [0, 1), got {self.p_d}")
         if not 0.0 <= self.v <= 1.0:
             raise ValueError(f"v must be in [0, 1], got {self.v}")
-        if not self.pulse_period_ns > 0.0:
-            raise ValueError(f"pulse_period_ns must be > 0, got {self.pulse_period_ns}")
+        if not 0.0 < self.pulse_period_ns < math.inf:
+            raise ValueError(f"pulse_period_ns must be finite and > 0, "
+                             f"got {self.pulse_period_ns}")
 
     @property
     def t(self) -> float:

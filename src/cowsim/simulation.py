@@ -4,24 +4,26 @@ data detector and monitoring delay interferometer.
 Time is discrete at the pulse period: a logical symbol occupies two consecutive
 slots, the interferometer adds one trailing slot. Randomness comes from
 counter-based Philox streams keyed by (seed, stage), so every draw layout is a
-fixed function of the stream length and results do not depend on how the work
-is chunked. There is no intra-slot jitter.
+fixed function of the stream length. There is no intra-slot jitter.
+
+One optical chain serves both the i.i.d. stream and the framed mode of
+cowsim.experiment: a stream is a single frame, and a framed run repeats one
+short frame many times. The chain returns click positions, which feed the one
+QBER estimator and the one monitoring tally.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .rates import ProtocolParams
 
 __all__ = [
-    "SymbolKind",
     "SymbolStream",
     "OpticsConfig",
-    "Propagated",
     "DetectionRecord",
     "MonitoringStats",
     "QberEstimate",
@@ -30,7 +32,6 @@ __all__ = [
     "UndefinedEstimateError",
     "generate_symbols",
     "propagate",
-    "interfere",
     "interferometer_outputs",
     "detect",
     "run_simulation",
@@ -49,19 +50,12 @@ _STAGE_M1 = 4
 _STAGE_M2 = 5
 
 
-class SymbolKind:
-    """Integer codes for Alice's logical symbols."""
-    BIT0 = BIT0
-    BIT1 = BIT1
-    DECOY = DECOY
-
-
 class UndefinedEstimateError(ValueError):
     """An estimator denominator is empty."""
 
 
 def stage_rng(seed: int, stage: int) -> np.random.Generator:
-    """Counter-based substream: independent per (seed, stage), chunk-invariant."""
+    """Counter-based substream: independent per (seed, stage)."""
     bitgen = np.random.Philox(key=np.uint64(seed), counter=[0, 0, 0, np.uint64(stage)])
     return np.random.Generator(bitgen)
 
@@ -98,8 +92,8 @@ class OpticsConfig:
     The default insertion loss of 0.5 models the monitoring interferometer
     returning half of the light toward its input, which reproduces the average
     monitoring detection rate mu t (1-t_B) eta / 2 per pulse. Set it to 0 for
-    a lossless physics check. v_setup multiplies only the interference cross
-    term; background is an extra constant per-slot click probability.
+    a lossless physics check. background is an extra constant per-slot click
+    probability.
     """
 
     params: ProtocolParams
@@ -107,26 +101,14 @@ class OpticsConfig:
     gate_ns: float = 25.0
     deadtime_ns: float = 0.0
     background: float = 0.0
-    v_setup: float | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.insertion_loss < 1.0:
             raise ValueError("insertion_loss must be in [0, 1)")
-        if self.deadtime_ns < 0.0 or self.gate_ns <= 0.0:
-            raise ValueError("gate_ns must be > 0 and deadtime_ns >= 0")
+        if not (0.0 < self.gate_ns < math.inf and 0.0 <= self.deadtime_ns < math.inf):
+            raise ValueError("gate_ns must be finite and > 0, deadtime_ns finite and >= 0")
         if not 0.0 <= self.background < 1.0:
             raise ValueError("background must be in [0, 1)")
-
-    @property
-    def visibility(self) -> float:
-        return self.params.v if self.v_setup is None else self.v_setup
-
-
-@dataclass(frozen=True)
-class Propagated:
-    data_intensity: np.ndarray
-    monitor_amplitude: np.ndarray
-    phases: np.ndarray
 
 
 @dataclass
@@ -144,7 +126,6 @@ class DetectionRecord:
     d_m1_slot: np.ndarray
     d_m2_seq: np.ndarray
     d_m2_slot: np.ndarray
-    slot_class_totals: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -155,6 +136,16 @@ class MonitoringStats:
     n_m2_10: int
     n_m1_d: int
     n_m2_d: int
+
+    @property
+    def v_10(self) -> float:
+        """Bit1 -> bit0 boundary visibility; nan when the class has no clicks."""
+        return _visibility_or_nan(self.n_m1_10, self.n_m2_10)
+
+    @property
+    def v_d(self) -> float:
+        """Decoy visibility; nan when the class has no clicks."""
+        return _visibility_or_nan(self.n_m1_d, self.n_m2_d)
 
 
 @dataclass(frozen=True)
@@ -174,10 +165,7 @@ class SimSummary:
     monitoring_rate_per_pulse: float
     v_10: float
     v_d: float
-    v_10_defined: bool
-    v_d_defined: bool
     qber: QberEstimate | None
-    double_clicks: int
 
 
 @dataclass
@@ -200,33 +188,27 @@ def generate_symbols(n: int, f: float, mu: float, seed: int) -> SymbolStream:
     kinds = np.full(n, DECOY, dtype=np.int8)
     kinds[u < (1.0 - f) / 2.0] = BIT0
     kinds[(u >= (1.0 - f) / 2.0) & (u < 1.0 - f)] = BIT1
-    amplitudes = np.zeros(2 * n)
+    return _pulse_train(kinds, mu)
+
+
+def _pulse_train(kinds: np.ndarray, mu: float) -> SymbolStream:
+    """Alice's in-phase pulses for the given symbols: the arrival slot of a
+    bit, both slots of a decoy."""
+    amplitudes = np.zeros(2 * len(kinds))
     a = math.sqrt(mu)
     amplitudes[0::2][kinds != BIT1] = a
     amplitudes[1::2][kinds != BIT0] = a
     return SymbolStream(kinds=kinds, mu=mu, amplitudes=amplitudes,
-                        phases=np.zeros(2 * n))
+                        phases=np.zeros(2 * len(kinds)))
 
 
-def propagate(stream: SymbolStream, params: ProtocolParams) -> Propagated:
-    """Attenuate through the channel and split at Bob's tap beam-splitter."""
-    intensity = stream.amplitudes ** 2 * params.t
-    return Propagated(data_intensity=intensity * params.t_b,
-                      monitor_amplitude=np.sqrt(intensity * (1.0 - params.t_b)),
-                      phases=stream.phases)
+def propagate(amplitudes: np.ndarray, params: ProtocolParams):
+    """Attenuate through the channel and split at Bob's tap beam-splitter.
 
-
-def interfere(a_j: float, a_j1: float, phase: float, v_setup: float,
-              insertion_loss: float) -> tuple[float, float]:
-    """Mean photon numbers at (D_M1, D_M2) for the slot where pulses j and j+1
-    overlap after the one-slot delay. phase is their relative phase; v_setup
-    scales only the cross term."""
-    if a_j < 0.0 or a_j1 < 0.0:
-        raise ValueError("amplitudes must be >= 0")
-    scale = (1.0 - insertion_loss) / 4.0
-    base = a_j * a_j + a_j1 * a_j1
-    cross = 2.0 * v_setup * a_j * a_j1 * math.cos(phase)
-    return scale * (base + cross), scale * (base - cross)
+    Returns (data-line intensity, monitoring-line amplitude) per pulse.
+    """
+    intensity = amplitudes ** 2 * params.t
+    return intensity * params.t_b, np.sqrt(intensity * (1.0 - params.t_b))
 
 
 def interferometer_outputs(amplitudes: np.ndarray, phases: np.ndarray,
@@ -247,11 +229,14 @@ def interferometer_outputs(amplitudes: np.ndarray, phases: np.ndarray,
 
 
 def detect(intensity: np.ndarray, eta: float, p_d: float,
-           rng: np.random.Generator, background: float = 0.0) -> np.ndarray:
-    """Threshold detector: click probability 1 - (1-p_d)(1-bg) exp(-eta I)."""
+           rng: np.random.Generator, background: float = 0.0,
+           n_frames: int = 1) -> np.ndarray:
+    """Threshold detector: click probability 1 - (1-p_d)(1-bg) exp(-eta I).
+    The slots repeat over n_frames frames, with one uniform per (frame, slot)
+    drawn in row-major order; returns the (n_frames, n_slots) click mask."""
     intensity = np.asarray(intensity, dtype=float)
     p = 1.0 - (1.0 - p_d) * (1.0 - background) * np.exp(-eta * intensity)
-    return rng.random(intensity.shape) < p
+    return rng.random((n_frames,) + intensity.shape) < p
 
 
 def _suppress_deadtime(times: np.ndarray, deadtime: float) -> np.ndarray:
@@ -274,6 +259,38 @@ def _wilson(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
     return center - half, center + half
 
 
+def _run_chain(config: OpticsConfig, stream: SymbolStream, seed: int,
+              stages: tuple[int, int, int], n_frames: int = 1, n_slots: int = 0,
+              frame_period_ns: float = 0.0) -> list:
+    """Clicks of D_B, D_M1 and D_M2 over n_frames repetitions of the pulse
+    train, each as (frame, slot) arrays in ascending time. Every detector sees
+    at least n_slots slots per frame (dark counts only past the light); stages
+    are the detectors' Philox stage ids. Deadtime acts on the absolute times
+    frame * frame_period_ns + slot * pulse_period_ns, so it spans frames."""
+    params = config.params
+    data, monitor = propagate(stream.amplitudes, params)
+    m1, m2 = interferometer_outputs(monitor, stream.phases, params.v,
+                                    config.insertion_loss)
+    clicks = []
+    for intensity, stage in zip((data, m1, m2), stages):
+        if n_slots > len(intensity):
+            intensity = np.pad(intensity, (0, n_slots - len(intensity)))
+        # row-major order: ascending absolute time
+        ff, ss = np.nonzero(detect(intensity, params.eta, params.p_d,
+                                   stage_rng(seed, stage), config.background,
+                                   n_frames))
+        if config.deadtime_ns > 0.0:
+            times = ff * frame_period_ns + ss * params.pulse_period_ns
+            keep = _suppress_deadtime(times, config.deadtime_ns)
+            ff, ss = ff[keep], ss[keep]
+        clicks.append((ff, ss))
+    return clicks
+
+
+def _visibility_or_nan(n_m1: int, n_m2: int) -> float:
+    return estimate_visibility(n_m1, n_m2) if n_m1 + n_m2 > 0 else math.nan
+
+
 def estimate_visibility(n_m1: int, n_m2: int) -> float:
     """Count-based visibility (n1 - n2) / (n1 + n2)."""
     total = n_m1 + n_m2
@@ -289,122 +306,83 @@ def visibility_stderr(n_m1: int, n_m2: int) -> float:
     return 2.0 * math.sqrt(p * (1.0 - p) / total)
 
 
-def estimate_qber(record: DetectionRecord, stream: SymbolStream) -> QberEstimate:
+def estimate_qber(seq: np.ndarray, slot: np.ndarray,
+                  kind: np.ndarray) -> QberEstimate:
     """Fraction of wrong-slot clicks among single-click bit symbols.
 
-    Symbols with clicks in both slots are ambiguous and excluded, matching the
-    sifting policy. Clicks are already window-aligned because the model is
-    slot-discrete. The interval is a Wilson 95% interval.
+    Takes the data-line click list, one entry per click: the symbol index,
+    the arrival slot (0 or 1) and the kind Alice sent. Decoys and symbols with
+    clicks in both slots are dropped, exactly as sifting drops them. Clicks
+    are already window-aligned because the model is slot-discrete. The
+    interval is a Wilson 95% interval.
     """
-    n = stream.n_symbols
-    c0 = np.zeros(n, dtype=bool)
-    c1 = np.zeros(n, dtype=bool)
-    c0[record.d_b_seq[record.d_b_slot == 0]] = True
-    c1[record.d_b_seq[record.d_b_slot == 1]] = True
-    is_bit = stream.kinds != DECOY
-    single = is_bit & (c0 ^ c1)
-    n_sifted = int(np.count_nonzero(single))
+    _, inverse, counts = np.unique(seq, return_inverse=True, return_counts=True)
+    sifted = (counts[inverse] == 1) & (kind != DECOY)
+    n_sifted = int(np.count_nonzero(sifted))
     if n_sifted == 0:
         raise UndefinedEstimateError("no sifted detections")
     # the arrival slot is the bit: a click in the empty slot is an error
-    wrong = single & ((c1 & (stream.kinds == BIT0)) | (c0 & (stream.kinds == BIT1)))
-    n_err = int(np.count_nonzero(wrong))
+    n_err = int(np.count_nonzero(sifted & (slot != (kind == BIT1))))
     lo, hi = _wilson(n_err, n_sifted)
     return QberEstimate(value=n_err / n_sifted, lo=lo, hi=hi,
                         n_errors=n_err, n_sifted=n_sifted)
 
 
-def _monitoring_tally(kinds: np.ndarray, m1_clicks: np.ndarray,
-                      m2_clicks: np.ndarray) -> MonitoringStats:
-    decoy_slots = 2 * np.nonzero(kinds == DECOY)[0] + 1
-    pair_10 = np.nonzero((kinds[:-1] == BIT1) & (kinds[1:] == BIT0))[0]
-    slots_10 = 2 * pair_10 + 2
-    return MonitoringStats(
-        n_m1_10=int(m1_clicks[slots_10].sum()),
-        n_m2_10=int(m2_clicks[slots_10].sum()),
-        n_m1_d=int(m1_clicks[decoy_slots].sum()),
-        n_m2_d=int(m2_clicks[decoy_slots].sum()),
-    )
+def _monitoring_tally(kinds: np.ndarray, m1_slots: np.ndarray,
+                      m2_slots: np.ndarray) -> MonitoringStats:
+    """Count monitoring clicks in the two interference classes.
+
+    kinds are the symbols of one frame, and each click is given by its output
+    slot within its frame. Slot 2k+1 lies inside symbol k and slot 2k+2 on the
+    boundary of symbols k and k+1; only decoy insides and bit1 -> bit0
+    boundaries hold two pulses. Slots past the frame's light are in no class.
+    """
+    def classify(slots):
+        sym = slots // 2
+        inside = sym[(slots % 2 == 1) & (sym < len(kinds))]
+        after = sym[(slots % 2 == 0) & (sym >= 1) & (sym < len(kinds))]
+        n_10 = np.count_nonzero((kinds[after - 1] == BIT1) & (kinds[after] == BIT0))
+        return int(n_10), int(np.count_nonzero(kinds[inside] == DECOY))
+
+    n_m1_10, n_m1_d = classify(m1_slots)
+    n_m2_10, n_m2_d = classify(m2_slots)
+    return MonitoringStats(n_m1_10=n_m1_10, n_m2_10=n_m2_10,
+                           n_m1_d=n_m1_d, n_m2_d=n_m2_d)
 
 
 def simulate_stream(config: OpticsConfig, stream: SymbolStream, seed: int) -> SimResult:
     """Run the optical chain for an existing pulse train.
 
-    Deterministic for a fixed (seed, n_symbols); the draw layout per stage is
-    one array shaped by the train length, so the result is independent of any
-    internal chunking or worker count.
+    Deterministic for a fixed (seed, n_symbols): the draw layout per stage is
+    one array shaped by the train length.
     """
-    params = config.params
-    n = stream.n_symbols
-    prop = propagate(stream, params)
-    i_m1, i_m2 = interferometer_outputs(prop.monitor_amplitude, prop.phases,
-                                        config.visibility, config.insertion_loss)
-
-    clicks_b = detect(prop.data_intensity, params.eta, params.p_d,
-                      stage_rng(seed, _STAGE_DATA), config.background)
-    clicks_m1 = detect(i_m1, params.eta, params.p_d,
-                       stage_rng(seed, _STAGE_M1), config.background)
-    clicks_m2 = detect(i_m2, params.eta, params.p_d,
-                       stage_rng(seed, _STAGE_M2), config.background)
-
-    if config.deadtime_ns > 0.0:
-        tau = params.pulse_period_ns
-        for clicks in (clicks_b, clicks_m1, clicks_m2):
-            idx = np.nonzero(clicks)[0]
-            keep = _suppress_deadtime(idx * tau, config.deadtime_ns)
-            clicks[idx[~keep]] = False
-
-    stats = _monitoring_tally(stream.kinds, clicks_m1, clicks_m2)
-
-    gb = np.nonzero(clicks_b)[0]
-    g1 = np.nonzero(clicks_m1)[0]
-    g2 = np.nonzero(clicks_m2)[0]
-    is_bit = stream.kinds != DECOY
-    signal_slot = np.where(stream.kinds == BIT1, 1, 0)
-    c0 = clicks_b[0::2]
-    c1 = clicks_b[1::2]
-    signal_clicked = np.where(signal_slot == 1, c1, c0)
-    n_bits = int(np.count_nonzero(is_bit))
+    (_, gb), (_, g1), (_, g2) = _run_chain(config, stream, seed,
+                                          (_STAGE_DATA, _STAGE_M1, _STAGE_M2))
     record = DetectionRecord(
         d_b_seq=gb // 2, d_b_slot=gb % 2,
         d_m1_seq=g1 // 2, d_m1_slot=g1 % 2,
         d_m2_seq=g2 // 2, d_m2_slot=g2 % 2,
-        slot_class_totals={
-            "data_signal": int(np.count_nonzero(signal_clicked & is_bit)),
-            "data_wrong": int(np.count_nonzero(
-                np.where(signal_slot == 1, c0, c1) & is_bit)),
-            "data_decoy": int(np.count_nonzero((c0 | c1) & ~is_bit)),
-            "m1_total": int(len(g1)),
-            "m2_total": int(len(g2)),
-        },
     )
+    stats = _monitoring_tally(stream.kinds, g1, g2)
 
-    empirical_r = record.slot_class_totals["data_signal"] / n_bits if n_bits else 0.0
+    kind = stream.kinds[record.d_b_seq]
+    n_bits = int(np.count_nonzero(stream.kinds != DECOY))
+    # bit symbols whose arrival slot clicked, double clicks included
+    n_signal = int(np.count_nonzero((kind != DECOY) & (record.d_b_slot == (kind == BIT1))))
+    empirical_r = n_signal / n_bits if n_bits else 0.0
     # per non-empty pulse: with insertion loss L this converges to
     # (1-L) mu t (1-t_B) eta, i.e. half the lossless rate at the default L=0.5
     n_nonempty = int(np.count_nonzero(stream.amplitudes > 0.0))
     monitoring_rate = (len(g1) + len(g2)) / n_nonempty if n_nonempty else 0.0
     try:
-        v_10 = estimate_visibility(stats.n_m1_10, stats.n_m2_10)
-        v_10_defined = True
-    except UndefinedEstimateError:
-        v_10, v_10_defined = float("nan"), False
-    try:
-        v_d = estimate_visibility(stats.n_m1_d, stats.n_m2_d)
-        v_d_defined = True
-    except UndefinedEstimateError:
-        v_d, v_d_defined = float("nan"), False
-    try:
-        qber_est = estimate_qber(record, stream)
+        qber_est = estimate_qber(record.d_b_seq, record.d_b_slot, kind)
     except UndefinedEstimateError:
         qber_est = None
 
     summary = SimSummary(
-        n_symbols=n, n_bits=n_bits, empirical_r=empirical_r,
+        n_symbols=stream.n_symbols, n_bits=n_bits, empirical_r=empirical_r,
         monitoring_rate_per_pulse=monitoring_rate,
-        v_10=v_10, v_d=v_d, v_10_defined=v_10_defined, v_d_defined=v_d_defined,
-        qber=qber_est,
-        double_clicks=int(np.count_nonzero(c0 & c1 & is_bit)),
+        v_10=stats.v_10, v_d=stats.v_d, qber=qber_est,
     )
     return SimResult(record=record, stats=stats, summary=summary, stream=stream)
 

@@ -3,9 +3,12 @@ byte-level determinism."""
 
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
+import cowsim.simulation
+from cowsim.cli import main
 from cowsim.config import ConfigError, RunConfig
 
 
@@ -159,6 +162,29 @@ class TestSimulateCommand:
         header = [l for l in lines if not l.startswith("#")][0]
         assert header == "detector,sequence_index,slot_index"
 
+    def test_event_dump_is_the_reported_run(self, tmp_path, monkeypatch):
+        calls = []
+        simulate_stream = cowsim.simulation.simulate_stream
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return simulate_stream(*args, **kwargs)
+
+        monkeypatch.setattr(cowsim.simulation, "simulate_stream", counted)
+        out, dump = tmp_path / "out.csv", tmp_path / "events.csv"
+        code = main(["simulate", "--set", "n_symbols=20000", "--set", "mu=1.0",
+                     "--set", "eta=0.5", "--set", "p_d=5e-3", "--seed", "3",
+                     "--out", str(out), "--dump-events", str(dump)])
+        assert code in (0, 2)
+        assert len(calls) == 1
+        header, rows = table(out.read_text())
+        row = dict(zip(header, rows[0]))
+        per_symbol = Counter(line.split(",")[1] for line in dump.read_text().splitlines()
+                             if line.startswith("D_B,"))
+        assert int(row["n_ambiguous"]) > 0
+        assert len(per_symbol) == int(row["n_detected"])
+        assert sum(n > 1 for n in per_symbol.values()) == int(row["n_ambiguous"])
+
 
 class TestExperimentCommand:
     def test_histogram_and_summary(self):
@@ -195,6 +221,32 @@ class TestExperimentCommand:
             line = [l for l in out.splitlines() if l.startswith("# raw_rate_hz")][0]
             return float(line.split("=")[1])
         assert rate("--set", "deadtime_ns=0") > rate()
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("command, setting", [
+        ("keyrate", "loss_db=inf"),
+        ("keyrate", "loss_db=5000"),
+        ("keyrate", "mu=inf"),
+        ("keyrate", "pulse_period_ns=inf"),
+        ("curve", "loss_grid=0,inf"),
+        ("simulate", "tolerance_sigmas=-1"),
+        ("simulate", "tolerance_sigmas=nan"),
+        ("simulate", "tolerance_sigmas=inf"),
+        ("experiment", "background=2"),
+        ("experiment", "insertion_loss=1.5"),
+        ("experiment", "deadtime_ns=-1"),
+        ("experiment", "gate_ns=-5"),
+        ("experiment", "frame_period_ns=nan"),
+    ])
+    def test_out_of_range_is_one_error_line(self, command, setting):
+        code, out, err = run_cli(command, "--set", setting,
+                                 "--set", "n_symbols=2000", "--set", "n_frames=100")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("cowsim: error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestDeterminism:

@@ -1,5 +1,7 @@
 """Framed-sequence mode: histogram structure, deadtime behavior, rates."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -84,7 +86,7 @@ class TestRates:
 
     def test_visibility_classes_estimated(self):
         result = run_experiment(preset_config(n_frames=400000), seed=5)
-        assert result.v_d_defined and result.v_10_defined
+        assert not math.isnan(result.v_d) and not math.isnan(result.v_10)
         # wide band: counts are small and dark counts bias the raw estimate
         assert 0.6 < result.v_d <= 1.0
         assert 0.6 < result.v_10 <= 1.0

@@ -193,6 +193,22 @@ class TestRunProtocol:
         assert rep.abort or rep.i_eve > 0.95
         assert rep.n_secret == 0
 
+    @pytest.mark.parametrize("deadtime_ns, p_ir", [(0.0, 0.0), (3.0, 0.0),
+                                                    (0.0, 0.5), (3.0, 0.5)])
+    def test_qber_counts_are_the_sifted_key(self, deadtime_ns, p_ir):
+        # dark counts make errors and ambiguous symbols; deadtime and the
+        # attack reshape which clicks survive
+        from cowsim import run_simulation
+        p = params(mu=1.0, eta=0.5, p_d=2e-3)
+        atk = AttackConfig(kind=AttackKind.INTERCEPT_RESEND, p_ir=p_ir)
+        sim = run_simulation(OpticsConfig(params=p, deadtime_ns=deadtime_ns),
+                             100000, seed=17, attack=atk)
+        pair = sift(sim.stream, announce(sim.record), sim.record)
+        q = sim.summary.qber
+        assert q.n_errors > 0
+        assert q.n_sifted == len(pair.alice_bits)
+        assert q.n_errors == np.count_nonzero(pair.alice_bits != pair.bob_bits)
+
     def test_no_decoys_aborts_with_reason(self):
         p = params(f=0.0)
         rep = run_protocol(OpticsConfig(params=p), 20000, seed=7)
