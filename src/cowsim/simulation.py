@@ -212,18 +212,19 @@ def propagate(amplitudes: np.ndarray, params: ProtocolParams):
 
 
 def interferometer_outputs(amplitudes: np.ndarray, phases: np.ndarray,
-                           v_setup: float, insertion_loss: float):
+                           v: float, insertion_loss: float):
     """Per-slot intensities at both output ports for a whole pulse train.
 
     Output slot j mixes the delayed pulse j-1 with pulse j; slots 0 and
-    n_pulses carry the unpaired edge halves. Summed over slots and ports the
+    n_pulses carry the unpaired edge halves. The visibility v scales only the
+    interference cross term. Summed over slots and ports the
     output equals (1 - insertion_loss) times the input energy exactly.
     """
     left = np.concatenate(([0.0], amplitudes))
     right = np.concatenate((amplitudes, [0.0]))
     dphi = np.concatenate(([0.0], phases)) - np.concatenate((phases, [0.0]))
     base = left * left + right * right
-    cross = 2.0 * v_setup * left * right * np.cos(dphi)
+    cross = 2.0 * v * left * right * np.cos(dphi)
     scale = (1.0 - insertion_loss) / 4.0
     return scale * (base + cross), scale * (base - cross)
 
