@@ -39,7 +39,6 @@ from .simulation import (
     DetectionRecord,
     MonitoringStats,
     QberEstimate,
-    SimSummary,
     SimResult,
     UndefinedEstimateError,
     generate_symbols,

@@ -105,33 +105,36 @@ def cmd_simulate(cfg: RunConfig, out_path, dump_events=None) -> int:
     lines = _metadata(cfg, "simulate")
     pred_v, pred_i = predicted_signature(attack, cfg.params(), cfg.protocol(),
                                          cfg.pns_model())
-    q = report.qber
+    sim, ann, est, dist = (report.sim, report.announcement, report.estimation,
+                           report.distill)
+    n = sim.stream.n_symbols
+    q = sim.qber
     lines.append("n_symbols,n_detected,n_ambiguous,n_sifted,sifted_rate,"
                  "qber,qber_lo,qber_hi,v_10,v_d,abort,abort_reason,i_eve,"
                  "shrink_fraction,n_secret,secret_fraction,empirical_r,"
                  "monitoring_rate,predicted_v,predicted_i_eve")
     lines.append(",".join(_fmt(x) for x in (
-        report.n_symbols, report.n_detected, report.n_ambiguous,
-        report.n_sifted, report.sifted_rate,
+        n, len(ann.detected_indices), len(ann.ambiguous_indices),
+        dist.n_sifted, dist.n_sifted / n,
         q.value if q else float("nan"),
         q.lo if q else float("nan"),
         q.hi if q else float("nan"),
-        report.v_10, report.v_d, report.abort, report.abort_reason.value,
-        report.i_eve, report.shrink_fraction, report.n_secret,
-        report.secret_fraction, report.empirical_r,
-        report.monitoring_rate_per_pulse, pred_v, pred_i)))
+        est.v_10, est.v_d, est.abort, est.reason.value,
+        est.i_eve, dist.shrink_fraction, dist.n_secret,
+        dist.n_secret / n, sim.empirical_r,
+        sim.monitoring_rate_per_pulse, pred_v, pred_i)))
     _emit(out_path, lines)
     if dump_events:
         ev = _metadata(cfg, "simulate-events")
         ev.append("detector,sequence_index,slot_index")
-        rec = report.record
+        rec = sim.record
         for name, seqs, slots in (("D_B", rec.d_b_seq, rec.d_b_slot),
                                   ("D_M1", rec.d_m1_seq, rec.d_m1_slot),
                                   ("D_M2", rec.d_m2_seq, rec.d_m2_slot)):
             for s, sl in zip(seqs, slots):
                 ev.append(f"{name},{s},{sl}")
         _emit(dump_events, ev)
-    return 2 if report.abort else 0
+    return 2 if est.abort else 0
 
 
 def cmd_experiment(cfg: RunConfig, out_path) -> int:
@@ -143,8 +146,8 @@ def cmd_experiment(cfg: RunConfig, out_path) -> int:
         lines.append(f"# rate_hz_{name} = {_fmt(result.rate_hz[name])}")
     q = result.qber
     lines.append(f"# data_qber = {_fmt(q.value if q else float('nan'))}")
-    lines.append(f"# v_10 = {_fmt(result.v_10)}")
-    lines.append(f"# v_d = {_fmt(result.v_d)}")
+    lines.append(f"# v_10 = {_fmt(result.stats.v_10)}")
+    lines.append(f"# v_d = {_fmt(result.stats.v_d)}")
     lines.append("slot_time_ns,detector,count")
     for name in DETECTORS:
         for slot_time, count in zip(result.slot_times_ns, result.counts[name]):

@@ -13,6 +13,7 @@ from .simulation import (
     BIT0,
     BIT1,
     DECOY,
+    MonitoringStats,
     OpticsConfig,
     QberEstimate,
     UndefinedEstimateError,
@@ -39,7 +40,8 @@ DETECTORS = ("D_B", "D_M1", "D_M2")
 @dataclass(frozen=True)
 class ExperimentConfig(OpticsConfig):
     """The optics of a framed run: n_frames repetitions of a pulse pattern,
-    one every frame_period_ns, with the range checks of OpticsConfig."""
+    one every frame_period_ns, with the range checks of OpticsConfig. The
+    gate closes within its frame."""
 
     deadtime_ns: float = 10000.0
     frame_period_ns: float = 1e9 / 600e3
@@ -56,6 +58,8 @@ class ExperimentConfig(OpticsConfig):
         if not frame_ns <= self.frame_period_ns < math.inf:
             raise ValueError("frame_period_ns must be finite and no shorter "
                              "than the pulse train")
+        if not self.gate_ns < self.frame_period_ns:
+            raise ValueError("gate_ns must be shorter than frame_period_ns")
 
 
 @dataclass
@@ -66,10 +70,7 @@ class ExperimentResult:
     rate_hz: dict
     raw_rate_hz: float
     qber: QberEstimate | None
-    v_10: float
-    v_d: float
-    n_frames: int
-    duration_s: float
+    stats: MonitoringStats
 
 
 def run_experiment(config: ExperimentConfig, seed: int) -> ExperimentResult:
@@ -101,11 +102,8 @@ def run_experiment(config: ExperimentConfig, seed: int) -> ExperimentResult:
                              frame.kinds[ss // 2])
     except UndefinedEstimateError:
         qber = None
-    stats = _monitoring_tally(frame.kinds, clicks["D_M1"][1], clicks["D_M2"][1])
-
     return ExperimentResult(
         slot_times_ns=np.arange(n_slots) * tau,
         counts=counts, clicks=clicks, rate_hz=rate_hz,
         raw_rate_hz=sum(rate_hz.values()), qber=qber,
-        v_10=stats.v_10, v_d=stats.v_d,
-        n_frames=config.n_frames, duration_s=duration_s)
+        stats=_monitoring_tally(frame.kinds, clicks["D_M1"][1], clicks["D_M2"][1]))

@@ -69,16 +69,12 @@ class CurvePoint:
     loss_db: float
     mu_star: float
     r_sk_star: float
-    q_total: float
-    i_eve: float
 
 
 @dataclass(frozen=True)
 class RobustnessResult:
     cow_ratio: float
     bb84_decoy_ratio: float
-    cow_defined: bool
-    bb84_defined: bool
 
 
 def _objective(params: ProtocolParams, protocol: Protocol, model: PnsModel,
@@ -172,9 +168,7 @@ def sweep_loss(params_template: ProtocolParams, protocols: Sequence[Protocol],
                 opt = optimize_mu(params, protocol, model, spec, mode)
                 points.append(CurvePoint(
                     protocol=protocol, v=v, loss_db=loss,
-                    mu_star=opt.mu_star, r_sk_star=opt.keyrate.r_sk,
-                    q_total=opt.keyrate.qber.q_total,
-                    i_eve=opt.keyrate.eve.i_eve))
+                    mu_star=opt.mu_star, r_sk_star=opt.keyrate.r_sk))
     return points
 
 
@@ -191,19 +185,12 @@ def visibility_robustness(params_template: ProtocolParams, loss_db: float,
     denominator flags the ratio undefined (NaN) rather than raising.
     """
     ratios = {}
-    defined = {}
     for protocol in (Protocol.COW, Protocol.BB84_DECOY):
         rates = {}
         for v in (v_low, v_high):
             params = replace(params_template, loss_db=loss_db, v=v)
             rates[v] = optimize_mu(params, protocol, model, spec, mode).keyrate.r_sk
-        if rates[v_high] > 0.0:
-            ratios[protocol] = rates[v_low] / rates[v_high]
-            defined[protocol] = True
-        else:
-            ratios[protocol] = float("nan")
-            defined[protocol] = False
+        ratios[protocol] = (rates[v_low] / rates[v_high] if rates[v_high] > 0.0
+                            else float("nan"))
     return RobustnessResult(cow_ratio=ratios[Protocol.COW],
-                            bb84_decoy_ratio=ratios[Protocol.BB84_DECOY],
-                            cow_defined=defined[Protocol.COW],
-                            bb84_defined=defined[Protocol.BB84_DECOY])
+                            bb84_decoy_ratio=ratios[Protocol.BB84_DECOY])

@@ -26,7 +26,7 @@ from .simulation import (
     DetectionRecord,
     MonitoringStats,
     OpticsConfig,
-    QberEstimate,
+    SimResult,
     SymbolStream,
     run_simulation,
     visibility_stderr,
@@ -84,7 +84,6 @@ class EstimationReport:
     se_10: float
     v_d: float
     se_d: float
-    q: float
     abort: bool
     reason: AbortReason
     i_eve: float
@@ -100,24 +99,12 @@ class DistillationSummary:
 
 @dataclass(frozen=True)
 class ProtocolReport:
-    n_symbols: int
-    n_detected: int
-    n_ambiguous: int
-    n_sifted: int
-    sifted_rate: float
-    qber: QberEstimate | None
-    v_10: float
-    v_d: float
-    abort: bool
-    abort_reason: AbortReason
-    i_eve: float
-    shrink_fraction: float
-    n_secret: int
-    secret_fraction: float
-    empirical_r: float
-    monitoring_rate_per_pulse: float
-    attack_log: object | None = None
-    record: DetectionRecord | None = None
+    """The result of each stage of one exchange, as that stage returned it."""
+
+    sim: SimResult
+    announcement: Announcement
+    estimation: EstimationReport
+    distill: DistillationSummary
 
 
 def announce(record: DetectionRecord) -> Announcement:
@@ -154,8 +141,7 @@ def sift(stream: SymbolStream, announcement: Announcement,
                          kept_indices=kept)
 
 
-def estimate_parameters(stats: MonitoringStats, q: float,
-                        params: ProtocolParams,
+def estimate_parameters(stats: MonitoringStats, params: ProtocolParams,
                         tolerance_sigmas: float = 3.0,
                         protocol: Protocol = Protocol.COW,
                         model: PnsModel = PnsModel()) -> EstimationReport:
@@ -175,7 +161,7 @@ def estimate_parameters(stats: MonitoringStats, q: float,
         return EstimationReport(
             v_10=float("nan"), se_10=0.0, v_d=v_d,
             se_d=0.0 if no_decoy else visibility_stderr(stats.n_m1_d, stats.n_m2_d),
-            q=q, abort=True, i_eve=1.0, i_eve_feasible=False,
+            abort=True, i_eve=1.0, i_eve_feasible=False,
             reason=AbortReason.NO_DECOY_STATISTICS if no_decoy
             else AbortReason.NO_BIT_PAIR_STATISTICS)
 
@@ -187,7 +173,7 @@ def estimate_parameters(stats: MonitoringStats, q: float,
     v_worst = min(v_10, v_d)
     eve = eve_information(replace(params, v=min(max(v_worst, 0.0), 1.0)),
                           protocol, model)
-    return EstimationReport(v_10=v_10, se_10=se_10, v_d=v_d, se_d=se_d, q=q,
+    return EstimationReport(v_10=v_10, se_10=se_10, v_d=v_d, se_d=se_d,
                             abort=mismatch,
                             reason=AbortReason.VISIBILITY_MISMATCH if mismatch
                             else AbortReason.NONE,
@@ -212,35 +198,13 @@ def run_protocol(config: OpticsConfig, n_symbols: int, seed: int,
     sift, estimate, distill. An abort is a result, not an exception."""
     sim = run_simulation(config, n_symbols, seed, attack)
     ann = announce(sim.record)
-    pair = sift(sim.stream, ann, sim.record)
-    n_sifted = len(pair.kept_indices)
-
-    q = sim.summary.qber.value if sim.summary.qber is not None else 0.0
-    report = estimate_parameters(sim.stats, q, config.params,
-                                 tolerance_sigmas, protocol, model)
-    if report.abort or n_sifted == 0:
+    n_sifted = len(sift(sim.stream, ann, sim.record).kept_indices)
+    estimation = estimate_parameters(sim.stats, config.params,
+                                     tolerance_sigmas, protocol, model)
+    if estimation.abort or n_sifted == 0:
         distill = DistillationSummary(n_sifted=n_sifted, shrink_fraction=1.0,
                                       n_secret=0)
-    else:
-        distill = distill_accounting(n_sifted, q, report.i_eve)
-
-    return ProtocolReport(
-        n_symbols=n_symbols,
-        n_detected=len(ann.detected_indices),
-        n_ambiguous=len(ann.ambiguous_indices),
-        n_sifted=n_sifted,
-        sifted_rate=n_sifted / n_symbols,
-        qber=sim.summary.qber,
-        v_10=report.v_10,
-        v_d=report.v_d,
-        abort=report.abort,
-        abort_reason=report.reason,
-        i_eve=report.i_eve,
-        shrink_fraction=distill.shrink_fraction,
-        n_secret=distill.n_secret,
-        secret_fraction=distill.n_secret / n_symbols,
-        empirical_r=sim.summary.empirical_r,
-        monitoring_rate_per_pulse=sim.summary.monitoring_rate_per_pulse,
-        attack_log=sim.attack_log,
-        record=sim.record,
-    )
+    else:  # sim.qber counts the same sifted bits, so it is defined here
+        distill = distill_accounting(n_sifted, sim.qber.value, estimation.i_eve)
+    return ProtocolReport(sim=sim, announcement=ann, estimation=estimation,
+                          distill=distill)

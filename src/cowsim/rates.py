@@ -299,14 +299,13 @@ def monitoring_rate(params: ProtocolParams) -> float:
     return float(0.5 * params.mu * params.t * (1.0 - params.t_b) * params.eta)
 
 
-def sifted_rate(params: ProtocolParams, protocol: Protocol = Protocol.COW,
+def sifted_rate(params: ProtocolParams,
                 mode: RateMode = RateMode.LINEARIZED) -> float:
     """Sifted-key fraction per emitted bit, [R + 2 p_d (1-R)] (1-f).
 
     The same expression holds for every protocol variant here: the decoy
     fraction f plays the role of the rarely-used basis, so p_s = 1 - f.
     """
-    del protocol
     return float(_sifted(params.mu, params.t, params.t_b, params.eta,
                          params.p_d, params.f, mode))
 
@@ -362,7 +361,7 @@ def secret_key_rate(params: ProtocolParams, protocol: Protocol = Protocol.COW,
     r_sk_raw keeps the possibly negative value for diagnostics; r_sk is the
     clamped max(0, .) that curves and optimizers use.
     """
-    r_s = sifted_rate(params, protocol, mode)
+    r_s = sifted_rate(params, mode)
     q = qber(params, protocol, mode)
     eve = eve_information(params, protocol, model)
     raw = r_s * (1.0 - binary_entropy(q.q_total) - eve.i_eve)

@@ -27,7 +27,6 @@ __all__ = [
     "DetectionRecord",
     "MonitoringStats",
     "QberEstimate",
-    "SimSummary",
     "SimResult",
     "UndefinedEstimateError",
     "generate_symbols",
@@ -157,23 +156,15 @@ class QberEstimate:
     n_sifted: int
 
 
-@dataclass(frozen=True)
-class SimSummary:
-    n_symbols: int
+@dataclass
+class SimResult:
+    stream: SymbolStream
+    record: DetectionRecord
+    stats: MonitoringStats
     n_bits: int
     empirical_r: float
     monitoring_rate_per_pulse: float
-    v_10: float
-    v_d: float
     qber: QberEstimate | None
-
-
-@dataclass
-class SimResult:
-    record: DetectionRecord
-    stats: MonitoringStats
-    summary: SimSummary
-    stream: SymbolStream
     attack_log: object | None = None
 
 
@@ -253,11 +244,16 @@ def _suppress_deadtime(times: np.ndarray, deadtime: float) -> np.ndarray:
 
 
 def _wilson(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
+    """Wilson score interval for k successes in n trials, within [0, 1]. The
+    closed form rounds past its exact edges, so k = 0 gives lo = 0 and k = n
+    gives hi = 1 exactly; lo <= center <= hi holds with center in (0, 1)."""
     p = k / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
     half = z / denom * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n))
-    return center - half, center + half
+    lo = 0.0 if k == 0 else max(center - half, 0.0)
+    hi = 1.0 if k == n else min(center + half, 1.0)
+    return lo, hi
 
 
 def _run_chain(config: OpticsConfig, stream: SymbolStream, seed: int,
@@ -380,12 +376,9 @@ def simulate_stream(config: OpticsConfig, stream: SymbolStream, seed: int) -> Si
     except UndefinedEstimateError:
         qber_est = None
 
-    summary = SimSummary(
-        n_symbols=stream.n_symbols, n_bits=n_bits, empirical_r=empirical_r,
-        monitoring_rate_per_pulse=monitoring_rate,
-        v_10=stats.v_10, v_d=stats.v_d, qber=qber_est,
-    )
-    return SimResult(record=record, stats=stats, summary=summary, stream=stream)
+    return SimResult(stream=stream, record=record, stats=stats, n_bits=n_bits,
+                     empirical_r=empirical_r,
+                     monitoring_rate_per_pulse=monitoring_rate, qber=qber_est)
 
 
 def run_simulation(config: OpticsConfig, n_symbols: int, seed: int,

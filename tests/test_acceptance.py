@@ -100,7 +100,7 @@ def test_criterion_2_curve_facts():
     cow_cut = first_zero((Protocol.COW, 0.8))
     assert plain_cut < cow_cut
     rob = visibility_robustness(template, 10.0, model)
-    assert rob.cow_defined and rob.bb84_defined
+    assert not math.isnan(rob.cow_ratio) and not math.isnan(rob.bb84_decoy_ratio)
     assert rob.cow_ratio > rob.bb84_decoy_ratio
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
@@ -116,23 +116,23 @@ def test_criterion_3_monte_carlo_vs_analysis():
                             p_d=1e-5, v=0.92)
     cfg = OpticsConfig(params=params, insertion_loss=0.5)
     sim = run_simulation(cfg, n, seed=3)
-    s = sim.summary
+    s = sim.stats
 
     r_exact = counting_rate(params, RateMode.EXACT)
-    sigma_r = math.sqrt(r_exact * (1.0 - r_exact) / s.n_bits)
-    assert abs(s.empirical_r - r_exact) < 3.0 * sigma_r
+    sigma_r = math.sqrt(r_exact * (1.0 - r_exact) / sim.n_bits)
+    assert abs(sim.empirical_r - r_exact) < 3.0 * sigma_r
 
     mon = monitoring_rate(params)
     n_nonempty = int(np.count_nonzero(sim.stream.amplitudes > 0))
     sigma_m = math.sqrt(mon * (1.0 - mon) / n_nonempty)
-    assert abs(s.monitoring_rate_per_pulse - mon) < 3.0 * sigma_m
+    assert abs(sim.monitoring_rate_per_pulse - mon) < 3.0 * sigma_m
 
     assert abs(s.v_d - 0.92) <= 0.01
     assert abs(s.v_10 - 0.92) <= 0.01
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
-    report(3, f"R {s.empirical_r:.5f}~{r_exact:.5f}, monitoring "
-              f"{s.monitoring_rate_per_pulse:.3e}~{mon:.3e}, "
+    report(3, f"R {sim.empirical_r:.5f}~{r_exact:.5f}, monitoring "
+              f"{sim.monitoring_rate_per_pulse:.3e}~{mon:.3e}, "
               f"V_d {s.v_d:.3f}, V_10 {s.v_10:.3f} ({elapsed:.1f} s)")
 
 
@@ -152,7 +152,7 @@ def test_criterion_4_xi_relation():
         p2 = st.n_m2_d / total
         sigma = 2.0 * math.sqrt(max(p2 * (1.0 - p2), 1e-12) / total)
         predicted = p_ir * xi_val  # (1 - r) p_ir xi with r = 0
-        observed = 1.0 - sim.summary.v_d
+        observed = 1.0 - sim.stats.v_d
         assert abs(observed - predicted) < 3.0 * sigma
         details.append(f"p_ir={p_ir}: 1-V={observed:.4f}~{predicted:.4f}")
     elapsed = time.perf_counter() - t0
@@ -169,7 +169,7 @@ def test_criterion_5_qber_visibility_independence():
                                 p_d=1e-4, v=v)
         sim = run_simulation(OpticsConfig(params=params), 1_000_000,
                              seed=51 + i)
-        q = sim.summary.qber
+        q = sim.qber
         counts[v] = (q.n_errors, q.n_sifted)
     zs = []
     for va, vb in ((0.8, 0.9), (0.9, 1.0), (0.8, 1.0)):
@@ -214,19 +214,18 @@ def test_criterion_7_protocol_pipeline():
     params = ProtocolParams(mu=0.5, loss_db=0.0, f=0.1, t_b=0.9, eta=0.1,
                             p_d=0.0, v=1.0)
     rep = run_protocol(OpticsConfig(params=params), n, seed=3)
-    assert not rep.abort
-    assert rep.qber.value == 0.0
+    assert not rep.estimation.abort
+    assert rep.sim.qber.value == 0.0
 
-    # bit-level identity of the sifted keys
-    sim = run_simulation(OpticsConfig(params=params), n, seed=3)
-    pair = sift(sim.stream, announce(sim.record), sim.record)
+    # bit-level identity of the sifted keys of the reported run
+    pair = sift(rep.sim.stream, rep.announcement, rep.sim.record)
     assert np.array_equal(pair.alice_bits, pair.bob_bits)
 
     ana = secret_key_rate(params, Protocol.COW, PnsModel(), RateMode.EXACT)
     r_ex = counting_rate(params, RateMode.EXACT)
     p_sift = (1.0 - params.f) * r_ex
-    sigma = (1.0 - rep.i_eve) * math.sqrt(p_sift * (1.0 - p_sift) / n)
-    assert abs(rep.secret_fraction - ana.r_sk) < 3.0 * sigma
+    sigma = (1.0 - rep.estimation.i_eve) * math.sqrt(p_sift * (1.0 - p_sift) / n)
+    assert abs(rep.distill.n_secret / n - ana.r_sk) < 3.0 * sigma
 
     # hand-traced four-symbol sifting example
     kinds = np.array([BIT0, BIT1, DECOY, BIT0], dtype=np.int8)
@@ -242,7 +241,7 @@ def test_criterion_7_protocol_pipeline():
     assert list(traced.bob_bits) == [0]
     elapsed = time.perf_counter() - t0
     report(7, f"alice==bob over {len(pair.alice_bits)} sifted bits, "
-              f"n_secret/n = {rep.secret_fraction:.5f} ~ {ana.r_sk:.5f}, "
+              f"n_secret/n = {rep.distill.n_secret / n:.5f} ~ {ana.r_sk:.5f}, "
               f"hand trace exact ({elapsed:.1f} s)")
 
 

@@ -87,7 +87,7 @@ class TestStreamTransform:
         params = attack_params(mu=500.0)
         cfg = OpticsConfig(params=params, insertion_loss=0.0)
         sim = run_simulation(cfg, 20000, seed=4, attack=ir(1.0))
-        assert sim.summary.v_d == pytest.approx(1.0, abs=1e-12)
+        assert sim.stats.v_d == pytest.approx(1.0, abs=1e-12)
 
 
 class TestXiRelation:
@@ -101,7 +101,7 @@ class TestXiRelation:
         p2 = st.n_m2_d / total
         sigma = 2.0 * math.sqrt(max(p2 * (1 - p2), 1e-12) / total)
         predicted = 1.0 - p_ir * xi(params.mu, params.t)
-        assert abs(sim.summary.v_d - predicted) < 3.0 * sigma
+        assert abs(sim.stats.v_d - predicted) < 3.0 * sigma
 
     def test_cross_boundary_class_damaged_harder(self):
         # per-window phases break 1-0 coherence even for conclusive windows,
@@ -109,7 +109,7 @@ class TestXiRelation:
         params = attack_params()
         cfg = OpticsConfig(params=params, insertion_loss=0.0)
         sim = run_simulation(cfg, 300000, seed=18, attack=ir(1.0))
-        assert sim.summary.v_10 < sim.summary.v_d
+        assert sim.stats.v_10 < sim.stats.v_d
 
 
 class TestPredictedSignature:
@@ -146,9 +146,9 @@ class TestDataLineSideEffects:
         for p_ir in (0.5, 1.0):
             sim = run_simulation(cfg, 500000, seed=23, attack=ir(p_ir))
             _, _, expected = data_click_probs(params, p_ir)
-            n = sim.summary.n_bits
+            n = sim.n_bits
             sigma = math.sqrt(expected * (1 - expected) / n)
-            assert abs(sim.summary.empirical_r - expected) < 3 * sigma
+            assert abs(sim.empirical_r - expected) < 3 * sigma
 
     def test_qber_stays_at_no_attack_level(self):
         # time-basis resends land in the correct slot; with darks as the only
@@ -156,8 +156,8 @@ class TestDataLineSideEffects:
         # with the policy's slightly different click rates
         params = attack_params(p_d=1e-4)
         cfg = OpticsConfig(params=params, insertion_loss=0.0)
-        base = run_simulation(cfg, 500000, seed=29).summary.qber
-        atk = run_simulation(cfg, 500000, seed=31, attack=ir(1.0)).summary.qber
+        base = run_simulation(cfg, 500000, seed=29).qber
+        atk = run_simulation(cfg, 500000, seed=31, attack=ir(1.0)).qber
 
         def oracle(p_ir):
             p_un, p_att, _ = data_click_probs(params, p_ir)

@@ -238,6 +238,8 @@ class TestInputValidation:
         ("experiment", "deadtime_ns=-1"),
         ("experiment", "gate_ns=-5"),
         ("experiment", "frame_period_ns=nan"),
+        ("experiment", "gate_ns=1e15"),
+        ("experiment", "gate_ns=2000"),
     ])
     def test_out_of_range_is_one_error_line(self, command, setting):
         code, out, err = run_cli(command, "--set", setting,

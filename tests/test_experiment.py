@@ -86,10 +86,11 @@ class TestRates:
 
     def test_visibility_classes_estimated(self):
         result = run_experiment(preset_config(n_frames=400000), seed=5)
-        assert not math.isnan(result.v_d) and not math.isnan(result.v_10)
+        st = result.stats
+        assert not math.isnan(st.v_d) and not math.isnan(st.v_10)
         # wide band: counts are small and dark counts bias the raw estimate
-        assert 0.6 < result.v_d <= 1.0
-        assert 0.6 < result.v_10 <= 1.0
+        assert 0.6 < st.v_d <= 1.0
+        assert 0.6 < st.v_10 <= 1.0
 
 
 class TestValidation:

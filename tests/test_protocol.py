@@ -10,6 +10,7 @@ from cowsim import (
     AbortReason,
     AttackConfig,
     AttackKind,
+    DistillationSummary,
     MonitoringStats,
     OpticsConfig,
     PnsModel,
@@ -19,6 +20,7 @@ from cowsim import (
     distill_accounting,
     estimate_parameters,
     run_protocol,
+    run_simulation,
     secret_key_rate,
     sift,
 )
@@ -102,39 +104,39 @@ class TestSift:
 
 class TestEstimateParameters:
     def test_perfect_visibilities(self):
-        rep = estimate_parameters(MonitoringStats(100, 0, 200, 0), 0.0,
+        rep = estimate_parameters(MonitoringStats(100, 0, 200, 0),
                                   params())
         assert rep.v_10 == 1.0 and rep.v_d == 1.0
         assert not rep.abort
         assert rep.i_eve == pytest.approx(0.25)  # r = mu/(2t)
 
     def test_mismatch_aborts(self):
-        rep = estimate_parameters(MonitoringStats(1000, 0, 750, 250), 0.0,
+        rep = estimate_parameters(MonitoringStats(1000, 0, 750, 250),
                                   params())
         assert rep.abort
         assert rep.reason is AbortReason.VISIBILITY_MISMATCH
 
     def test_equal_counts_never_abort(self):
         for n1, n2 in ((10, 10), (100, 5), (7, 0)):
-            rep = estimate_parameters(MonitoringStats(n1, n2, n1, n2), 0.0,
+            rep = estimate_parameters(MonitoringStats(n1, n2, n1, n2),
                                       params())
             assert not rep.abort
 
     def test_abort_symmetric_in_classes(self):
-        a = estimate_parameters(MonitoringStats(1000, 0, 750, 250), 0.0, params())
-        b = estimate_parameters(MonitoringStats(750, 250, 1000, 0), 0.0, params())
+        a = estimate_parameters(MonitoringStats(1000, 0, 750, 250), params())
+        b = estimate_parameters(MonitoringStats(750, 250, 1000, 0), params())
         assert a.abort == b.abort
 
     def test_undefined_reasons(self):
-        rep = estimate_parameters(MonitoringStats(50, 0, 0, 0), 0.0, params())
+        rep = estimate_parameters(MonitoringStats(50, 0, 0, 0), params())
         assert rep.abort and rep.reason is AbortReason.NO_DECOY_STATISTICS
-        rep = estimate_parameters(MonitoringStats(0, 0, 50, 0), 0.0, params())
+        rep = estimate_parameters(MonitoringStats(0, 0, 50, 0), params())
         assert rep.abort and rep.reason is AbortReason.NO_BIT_PAIR_STATISTICS
 
     def test_worst_visibility_drives_information(self):
-        rep = estimate_parameters(MonitoringStats(96, 4, 1000, 0), 0.0,
+        rep = estimate_parameters(MonitoringStats(96, 4, 1000, 0),
                                   params(), tolerance_sigmas=10.0)
-        worst = estimate_parameters(MonitoringStats(96, 4, 96, 4), 0.0, params())
+        worst = estimate_parameters(MonitoringStats(96, 4, 96, 4), params())
         assert rep.i_eve == pytest.approx(worst.i_eve)
 
 
@@ -161,11 +163,12 @@ class TestRunProtocol:
     def test_noiseless_chain(self):
         p = params(p_d=0.0, v=1.0)
         rep = run_protocol(OpticsConfig(params=p), 200000, seed=3)
-        assert not rep.abort
-        assert rep.qber.value == 0.0
-        assert rep.v_10 == 1.0 and rep.v_d == 1.0
-        assert rep.i_eve == pytest.approx(0.25)
-        assert rep.n_secret == math.floor(rep.n_sifted * 0.75)
+        est, dist = rep.estimation, rep.distill
+        assert not est.abort
+        assert rep.sim.qber.value == 0.0
+        assert est.v_10 == 1.0 and est.v_d == 1.0
+        assert est.i_eve == pytest.approx(0.25)
+        assert dist.n_secret == math.floor(dist.n_sifted * 0.75)
 
     def test_keys_identical_for_any_setup_visibility(self):
         # the data line is interference free: without darks the keys match
@@ -183,15 +186,44 @@ class TestRunProtocol:
         ana = secret_key_rate(p, model=PnsModel(), mode=RateMode.EXACT)
         p_sift = (1.0 - p.f) * (1.0 - math.exp(-p.eta * p.mu * p.t * p.t_b))
         sigma = 0.75 * math.sqrt(p_sift * (1 - p_sift) / 400000)
-        assert abs(rep.secret_fraction - ana.r_sk) < 3 * sigma
+        assert abs(rep.distill.n_secret / 400000 - ana.r_sk) < 3 * sigma
 
     def test_full_intercept_resend_collapses_key(self):
         p = params(t_b=0.5, eta=0.25, f=0.3, p_d=0.0)
         atk = AttackConfig(kind=AttackKind.INTERCEPT_RESEND, p_ir=1.0)
         rep = run_protocol(OpticsConfig(params=p, insertion_loss=0.0),
                            200000, seed=5, attack=atk)
-        assert rep.abort or rep.i_eve > 0.95
-        assert rep.n_secret == 0
+        assert rep.estimation.abort or rep.estimation.i_eve > 0.95
+        assert rep.distill.n_secret == 0
+
+    @pytest.mark.parametrize("f, p_ir, aborts", [(0.1, 0.0, False),
+                                                  (0.0, 0.0, True),
+                                                  (0.3, 0.5, True),
+                                                  (0.3, 1.0, False)])
+    def test_report_holds_each_stage(self, f, p_ir, aborts):
+        # each field is the object its stage returned for this run
+        p = params(f=f, t_b=0.5, eta=0.25)
+        cfg = OpticsConfig(params=p)
+        atk = AttackConfig(kind=AttackKind.INTERCEPT_RESEND, p_ir=p_ir)
+        rep = run_protocol(cfg, 50000, seed=23, attack=atk)
+        sim = run_simulation(cfg, 50000, seed=23, attack=atk)
+        # assert_equal compares arrays by value and counts nan equal to nan
+        np.testing.assert_equal(dataclasses.asdict(rep.sim.record),
+                                dataclasses.asdict(sim.record))
+        assert rep.sim.stats == sim.stats and rep.sim.qber == sim.qber
+        np.testing.assert_equal(dataclasses.asdict(rep.announcement),
+                                dataclasses.asdict(announce(sim.record)))
+        est = estimate_parameters(rep.sim.stats, p)
+        np.testing.assert_equal(dataclasses.asdict(rep.estimation),
+                                dataclasses.asdict(est))
+        assert est.abort == aborts
+        n_sifted = len(sift(rep.sim.stream, rep.announcement, rep.sim.record)
+                       .kept_indices)
+        if est.abort:
+            assert rep.distill == DistillationSummary(n_sifted, 1.0, 0)
+        else:
+            assert rep.distill == distill_accounting(n_sifted, rep.sim.qber.value,
+                                                     est.i_eve)
 
     @pytest.mark.parametrize("deadtime_ns, p_ir", [(0.0, 0.0), (3.0, 0.0),
                                                     (0.0, 0.5), (3.0, 0.5)])
@@ -204,7 +236,7 @@ class TestRunProtocol:
         sim = run_simulation(OpticsConfig(params=p, deadtime_ns=deadtime_ns),
                              100000, seed=17, attack=atk)
         pair = sift(sim.stream, announce(sim.record), sim.record)
-        q = sim.summary.qber
+        q = sim.qber
         assert q.n_errors > 0
         assert q.n_sifted == len(pair.alice_bits)
         assert q.n_errors == np.count_nonzero(pair.alice_bits != pair.bob_bits)
@@ -212,5 +244,5 @@ class TestRunProtocol:
     def test_no_decoys_aborts_with_reason(self):
         p = params(f=0.0)
         rep = run_protocol(OpticsConfig(params=p), 20000, seed=7)
-        assert rep.abort
-        assert rep.abort_reason is AbortReason.NO_DECOY_STATISTICS
+        assert rep.estimation.abort
+        assert rep.estimation.reason is AbortReason.NO_DECOY_STATISTICS

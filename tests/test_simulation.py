@@ -27,6 +27,7 @@ from cowsim.simulation import (
     DECOY,
     SymbolStream,
     _suppress_deadtime,
+    _wilson,
     stage_rng,
 )
 
@@ -161,13 +162,12 @@ class TestRunSimulation:
         p = params(v=0.92)
         cfg = OpticsConfig(params=p)
         sim = run_simulation(cfg, 400000, seed=3)
-        s = sim.summary
         r_exact = counting_rate(p, RateMode.EXACT)
-        sig = math.sqrt(r_exact * (1 - r_exact) / s.n_bits)
-        assert abs(s.empirical_r - r_exact) < 3 * sig
+        sig = math.sqrt(r_exact * (1 - r_exact) / sim.n_bits)
+        assert abs(sim.empirical_r - r_exact) < 3 * sig
         mon = monitoring_rate(p)
         sig_m = math.sqrt(mon / (1.1 * 400000))
-        assert abs(s.monitoring_rate_per_pulse - mon) < 3 * sig_m + 2 * p.p_d
+        assert abs(sim.monitoring_rate_per_pulse - mon) < 3 * sig_m + 2 * p.p_d
 
     def test_visibility_estimator_consistency(self):
         # lossless interferometer and a strong tap for high-count estimates
@@ -175,8 +175,8 @@ class TestRunSimulation:
         cfg = OpticsConfig(params=p, insertion_loss=0.0)
         sim = run_simulation(cfg, 400000, seed=11)
         st = sim.stats
-        for v_hat, (n1, n2) in ((sim.summary.v_d, (st.n_m1_d, st.n_m2_d)),
-                                (sim.summary.v_10, (st.n_m1_10, st.n_m2_10))):
+        for v_hat, (n1, n2) in ((sim.stats.v_d, (st.n_m1_d, st.n_m2_d)),
+                                (sim.stats.v_10, (st.n_m1_10, st.n_m2_10))):
             total = n1 + n2
             p2 = n2 / total
             sigma = 2 * math.sqrt(max(p2 * (1 - p2), 1e-12) / total)
@@ -195,7 +195,7 @@ class TestRunSimulation:
         for i, v in enumerate((0.8, 0.9, 1.0)):
             p = params(v=v, p_d=1e-4)
             sim = run_simulation(OpticsConfig(params=p), 300000, seed=100 + i)
-            q = sim.summary.qber
+            q = sim.qber
             counts[v] = (q.n_errors, q.n_sifted)
         pairs = [(0.8, 0.9), (0.9, 1.0), (0.8, 1.0)]
         for va, vb in pairs:
@@ -242,16 +242,28 @@ class TestEstimators:
     def test_qber_noiseless_zero(self):
         cfg = OpticsConfig(params=params(p_d=0.0))
         sim = run_simulation(cfg, 50000, seed=8)
-        assert sim.summary.qber.value == 0.0
+        assert sim.qber.value == 0.0
 
     def test_qber_matches_dark_count_formula(self):
         p = params()
         sim = run_simulation(OpticsConfig(params=p), 1_000_000, seed=3)
-        est = sim.summary.qber
+        est = sim.qber
         q_ref = qber(p).q_det
         sigma = math.sqrt(q_ref * (1 - q_ref) / est.n_sifted)
         assert abs(est.value - q_ref) < 3 * sigma
         assert est.lo <= est.value <= est.hi
+
+    def test_wilson_exact_at_its_edges(self):
+        # q = 0 and q = 1 must lie inside their own intervals, bounds in [0, 1]
+        for n in range(1, 5001):
+            lo, hi = _wilson(0, n)
+            assert lo == 0.0 and 0.0 < hi <= 1.0
+            lo, hi = _wilson(n, n)
+            assert 0.0 <= lo < 1.0 and hi == 1.0
+        for n in range(1, 101):
+            for k in range(n + 1):
+                lo, hi = _wilson(k, n)
+                assert 0.0 <= lo <= k / n <= hi <= 1.0
 
     def test_qber_all_flipped_synthetic(self):
         kinds = np.array([BIT0, BIT1, BIT0], dtype=np.int8)
