@@ -4,7 +4,9 @@ data detector and monitoring delay interferometer.
 Time is discrete at the pulse period: a logical symbol occupies two consecutive
 slots, the interferometer adds one trailing slot. Randomness comes from
 counter-based Philox streams keyed by (seed, stage), so every draw layout is a
-fixed function of the stream length. There is no intra-slot jitter.
+fixed function of the pulse train. Each detector draws candidate slots by
+geometric gaps at a bound on its click probability and thins them to the exact
+one, so detection costs O(clicks), not O(slots). There is no intra-slot jitter.
 
 One optical chain serves both the i.i.d. stream and the framed mode of
 cowsim.experiment: a stream is a single frame, and a framed run repeats one
@@ -202,44 +204,77 @@ def propagate(amplitudes: np.ndarray, params: ProtocolParams):
     return intensity * params.t_b, np.sqrt(intensity * (1.0 - params.t_b))
 
 
-def interferometer_outputs(amplitudes: np.ndarray, phases: np.ndarray,
+def interferometer_outputs(left: np.ndarray, right: np.ndarray, dphi: np.ndarray,
                            v: float, insertion_loss: float):
-    """Per-slot intensities at both output ports for a whole pulse train.
-
-    Output slot j mixes the delayed pulse j-1 with pulse j; slots 0 and
-    n_pulses carry the unpaired edge halves. The visibility v scales only the
-    interference cross term. Summed over slots and ports the
-    output equals (1 - insertion_loss) times the input energy exactly.
-    """
-    left = np.concatenate(([0.0], amplitudes))
-    right = np.concatenate((amplitudes, [0.0]))
-    dphi = np.concatenate(([0.0], phases)) - np.concatenate((phases, [0.0]))
+    """Both output ports' intensities where the delayed pulse `left` meets
+    `right` with phase difference dphi; v scales only the cross term. Output
+    slot j of a train pairs pulse j-1 with pulse j, so summed over slots and
+    ports the output equals (1 - insertion_loss) times the input energy."""
     base = left * left + right * right
     cross = 2.0 * v * left * right * np.cos(dphi)
     scale = (1.0 - insertion_loss) / 4.0
     return scale * (base + cross), scale * (base - cross)
 
 
-def detect(intensity: np.ndarray, eta: float, p_d: float,
-           rng: np.random.Generator, background: float = 0.0,
-           n_frames: int = 1) -> np.ndarray:
-    """Threshold detector: click probability 1 - (1-p_d)(1-bg) exp(-eta I).
-    The slots repeat over n_frames frames, with one uniform per (frame, slot)
-    drawn in row-major order; returns the (n_frames, n_slots) click mask."""
-    intensity = np.asarray(intensity, dtype=float)
-    p = 1.0 - (1.0 - p_d) * (1.0 - background) * np.exp(-eta * intensity)
-    return rng.random((n_frames,) + intensity.shape) < p
+def _click_probability(intensity, eta: float, p_d: float, background: float):
+    return 1.0 - (1.0 - p_d) * (1.0 - background) * np.exp(-eta * intensity)
+
+
+def detect(intensity: np.ndarray, p_hat: float, eta: float, p_d: float,
+           rng: np.random.Generator, background: float = 0.0) -> np.ndarray:
+    """Threshold detector at candidate slots drawn with probability p_hat: one
+    uniform per candidate keeps it with probability p / p_hat, where the click
+    probability p = 1 - (1-p_d)(1-bg) exp(-eta I) <= p_hat. With p_hat = 1
+    every slot is a candidate. Returns the mask of candidates that click."""
+    p = _click_probability(np.asarray(intensity, dtype=float), eta, p_d, background)
+    return rng.random(p.shape) * p_hat < p
+
+
+def _click_bounds(config: OpticsConfig, amplitudes: np.ndarray) -> tuple:
+    """(D_B, D_M1, D_M2) click probabilities at the brightest possible slot,
+    bounding every slot's: the peak pulse, or two peak pulses in phase."""
+    params = config.params
+    data, monitor = propagate(np.array([amplitudes.max()]), params)
+    pair = interferometer_outputs(monitor, monitor, 0.0, params.v, config.insertion_loss)[0]
+    p = _click_probability(np.concatenate((data, pair)), params.eta, params.p_d,
+                           config.background).tolist()
+    return p[0], p[1], p[1]
+
+
+def _candidates(rng: np.random.Generator, p_hat: float, n: int) -> np.ndarray:
+    """Ascending slots of a Bernoulli(p_hat) process over n slots, drawn as
+    cumulative sums of geometric gaps: O(candidates) work, not O(n)."""
+    if p_hat <= 0.0:
+        return np.empty(0, dtype=np.int64)
+    size = int(n * p_hat + 5.0 * math.sqrt(n * p_hat)) + 1
+    chunks, last = [], -1
+    while last < n:
+        # a gap past the end ends the process; clipping it keeps the sum in range
+        chunks.append(last + np.cumsum(np.minimum(rng.geometric(p_hat, size), n + 1)))
+        last = int(chunks[-1][-1])
+    pos = np.concatenate(chunks)
+    return pos[:np.searchsorted(pos, n)]
+
+
+def _at(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """values[idx], with 0 where idx falls outside values."""
+    inside = (idx >= 0) & (idx < len(values))
+    return np.where(inside, values[np.where(inside, idx, 0)], 0.0)
 
 
 def _suppress_deadtime(times: np.ndarray, deadtime: float) -> np.ndarray:
     """Non-paralyzable deadtime: keep a click only if it is at least deadtime
-    after the previously kept one. times must be ascending."""
-    keep = np.zeros(len(times), dtype=bool)
-    last = -math.inf
-    for i, t in enumerate(times):
-        if t - last >= deadtime:
-            keep[i] = True
-            last = t
+    after the previously kept one. times must be ascending; a click at least
+    deadtime after the one before it is always kept, so the loop skips it."""
+    keep = np.ones(len(times), dtype=bool)
+    t = times.tolist()
+    last, dropped = -math.inf, []
+    for i in (np.flatnonzero(np.diff(times) < deadtime) + 1).tolist():
+        if not dropped or dropped[-1] != i - 1:
+            last = t[i - 1]
+        if t[i] - last < deadtime:
+            dropped.append(i)
+    keep[dropped] = False
     return keep
 
 
@@ -262,20 +297,24 @@ def _run_chain(config: OpticsConfig, stream: SymbolStream, seed: int,
     """Clicks of D_B, D_M1 and D_M2 over n_frames repetitions of the pulse
     train, each as (frame, slot) arrays in ascending time. Every detector sees
     at least n_slots slots per frame (dark counts only past the light); stages
-    are the detectors' Philox stage ids. Deadtime acts on the absolute times
+    are the detectors' Philox stage ids. The optics are evaluated only at
+    candidate slots (see detect). Deadtime acts on the absolute times
     frame * frame_period_ns + slot * pulse_period_ns, so it spans frames."""
     params = config.params
-    data, monitor = propagate(stream.amplitudes, params)
-    m1, m2 = interferometer_outputs(monitor, stream.phases, params.v,
-                                    config.insertion_loss)
+    amps, phases = stream.amplitudes, stream.phases
     clicks = []
-    for intensity, stage in zip((data, m1, m2), stages):
-        if n_slots > len(intensity):
-            intensity = np.pad(intensity, (0, n_slots - len(intensity)))
-        # row-major order: ascending absolute time
-        ff, ss = np.nonzero(detect(intensity, params.eta, params.p_d,
-                                   stage_rng(seed, stage), config.background,
-                                   n_frames))
+    for k, (p_hat, stage) in enumerate(zip(_click_bounds(config, amps), stages)):
+        rng = stage_rng(seed, stage)
+        width = max(n_slots, len(amps) + (k > 0))  # one more monitor slot than pulses
+        ff, ss = np.divmod(_candidates(rng, p_hat, n_frames * width), width)
+        if k == 0:
+            intensity = propagate(_at(amps, ss), params)[0]
+        else:
+            intensity = interferometer_outputs(
+                propagate(_at(amps, ss - 1), params)[1], propagate(_at(amps, ss), params)[1],
+                _at(phases, ss - 1) - _at(phases, ss), params.v, config.insertion_loss)[k - 1]
+        keep = detect(intensity, p_hat, params.eta, params.p_d, rng, config.background)
+        ff, ss = ff[keep], ss[keep]
         if config.deadtime_ns > 0.0:
             times = ff * frame_period_ns + ss * params.pulse_period_ns
             keep = _suppress_deadtime(times, config.deadtime_ns)
@@ -350,8 +389,8 @@ def _monitoring_tally(kinds: np.ndarray, m1_slots: np.ndarray,
 def simulate_stream(config: OpticsConfig, stream: SymbolStream, seed: int) -> SimResult:
     """Run the optical chain for an existing pulse train.
 
-    Deterministic for a fixed (seed, n_symbols): the draw layout per stage is
-    one array shaped by the train length.
+    Deterministic for a fixed (seed, stream): each stage draws its candidate
+    slots from the train's length and peak amplitude, then one uniform each.
     """
     (_, gb), (_, g1), (_, g2) = _run_chain(config, stream, seed,
                                           (_STAGE_DATA, _STAGE_M1, _STAGE_M2))

@@ -155,7 +155,7 @@ class TestSimulateCommand:
 
     def test_event_dump(self, tmp_path):
         dump = tmp_path / "events.csv"
-        code, _, _ = run_cli("simulate", "--set", "n_symbols=5000",
+        code, _, _ = run_cli("simulate", "--set", "n_symbols=100000",
                              "--seed", "3", "--dump-events", str(dump))
         assert code == 0
         lines = dump.read_text().splitlines()

@@ -4,8 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cowsim import (
+    AttackConfig,
+    AttackKind,
+    ExperimentConfig,
     OpticsConfig,
     ProtocolParams,
     RateMode,
@@ -19,13 +24,19 @@ from cowsim import (
     monitoring_rate,
     propagate,
     qber,
+    run_experiment,
     run_simulation,
 )
+from cowsim.attacks import apply_intercept_resend
+from cowsim.experiment import FRAME_PATTERNS
 from cowsim.simulation import (
     BIT0,
     BIT1,
     DECOY,
     SymbolStream,
+    _click_bounds,
+    _pulse_train,
+    _run_chain,
     _suppress_deadtime,
     _wilson,
     stage_rng,
@@ -99,10 +110,30 @@ class TestPropagate:
 
 
 def overlap_slot(a_first, a_second, phase, v, insertion_loss):
-    """Output intensities where the two pulses of a two-pulse train overlap."""
-    i1, i2 = interferometer_outputs(np.array([a_first, a_second]),
-                                    np.array([phase, 0.0]), v, insertion_loss)
-    return i1[1], i2[1]
+    """Output intensities where the delayed first pulse meets the second."""
+    return interferometer_outputs(a_first, a_second, phase, v, insertion_loss)
+
+
+def train_pairs(amplitudes, phases):
+    """(left, right, dphi) of every interferometer output slot of a train: slot
+    j pairs the delayed pulse j-1 with pulse j, and the edge slots hold one
+    pulse each."""
+    left = np.concatenate(([0.0], amplitudes))
+    right = np.concatenate((amplitudes, [0.0]))
+    return left, right, np.concatenate(([0.0], phases)) - np.concatenate((phases, [0.0]))
+
+
+def dense_click_probabilities(config, amplitudes, phases, n_slots=0):
+    """Every slot's click probability for D_B, D_M1 and D_M2, from the whole
+    train at once: the reference the sparse sampler must reproduce. Slots past
+    the light, up to n_slots, hold dark counts only."""
+    p = config.params
+    data, monitor = propagate(amplitudes, p)
+    m1, m2 = interferometer_outputs(*train_pairs(monitor, phases), p.v,
+                                    config.insertion_loss)
+    return [1.0 - (1.0 - p.p_d) * (1.0 - config.background)
+            * np.exp(-p.eta * np.pad(i, (0, max(n_slots - len(i), 0))))
+            for i in (data, m1, m2)]
 
 
 class TestInterfere:
@@ -119,35 +150,127 @@ class TestInterfere:
         m1, m2 = overlap_slot(0.5, 0.5, 0.0, 0.92, 0.5)
         assert m2 / (m1 + m2) == pytest.approx((1.0 - 0.92) / 2.0, abs=1e-12)
 
-    def test_energy_bookkeeping_random_patterns(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            n = int(rng.integers(2, 200))
-            amps = rng.random(n) * rng.integers(0, 2, n)
-            phases = rng.random(n) * 2 * math.pi
-            v = float(rng.random())
-            il = float(rng.random() * 0.9)
-            i1, i2 = interferometer_outputs(amps, phases, v, il)
-            total_in = float(np.sum(amps ** 2))
-            total_out = float(np.sum(i1) + np.sum(i2))
-            assert total_out == pytest.approx((1.0 - il) * total_in, rel=1e-12)
+    @settings(max_examples=200, deadline=None)
+    @given(pulses=st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+                                     st.floats(0.0, 2 * math.pi)),
+                           min_size=2, max_size=200),
+           v=st.floats(0.0, 1.0), il=st.floats(0.0, 0.9))
+    def test_energy_bookkeeping_random_patterns(self, pulses, v, il):
+        amps, phases = np.array(pulses).T
+        i1, i2 = interferometer_outputs(*train_pairs(amps, phases), v, il)
+        total_in = float(np.sum(amps ** 2))
+        total_out = float(np.sum(i1) + np.sum(i2))
+        assert total_out == pytest.approx((1.0 - il) * total_in, rel=1e-12)
 
 
 class TestDetect:
     def test_dark_free_vacuum_never_clicks(self):
-        clicks = detect(np.zeros(10000), 0.1, 0.0, stage_rng(1, 99))
+        clicks = detect(np.zeros(10000), 1.0, 0.1, 0.0, stage_rng(1, 99))
         assert not np.any(clicks)
 
     def test_bright_always_clicks(self):
-        clicks = detect(np.full(1000, 1e6), 1.0, 0.0, stage_rng(1, 99))
+        clicks = detect(np.full(1000, 1e6), 1.0, 1.0, 0.0, stage_rng(1, 99))
         assert np.all(clicks)
 
     def test_click_fraction(self):
         n = 1_000_000
-        clicks = detect(np.full(n, 0.5), 0.1, 0.0, stage_rng(5, 99))
+        clicks = detect(np.full(n, 0.5), 1.0, 0.1, 0.0, stage_rng(5, 99))
         p = 0.04877057549928599
         sigma = math.sqrt(p * (1.0 - p) / n)
         assert abs(np.mean(clicks) - p) < 3.0 * sigma
+
+
+def slot_classes(p, n_bins=8):
+    """Slots grouped by click probability: by value when it takes few values,
+    else into n_bins equal-size bins of rank (an attack's random phases)."""
+    values, label = np.unique(p, return_inverse=True)
+    if len(values) <= 40:
+        return label
+    return np.argsort(np.argsort(p, kind="stable")) * n_bins // len(p)
+
+
+def assert_counts_match(counts, p, n_reps, label=None):
+    """Clicks summed over n_reps independent repetitions of the slots against
+    the sum of their Bernoulli(p) draws, within 5 sigma per slot class."""
+    label = slot_classes(p) if label is None else label
+    for c in range(label.max() + 1):
+        in_c = label == c
+        mean = n_reps * float(np.sum(p[in_c]))
+        var = n_reps * float(np.sum(p[in_c] * (1.0 - p[in_c])))
+        observed = int(np.sum(counts[in_c]))
+        if var == 0.0:
+            assert observed == mean
+        else:
+            assert abs(observed - mean) < 5.0 * math.sqrt(var), (c, observed, mean)
+
+
+class TestSparseSampler:
+    """The sparse draw has the distribution of one Bernoulli draw per slot."""
+
+    N_SEEDS = 200
+    STAGES = (3, 4, 5)
+
+    def stream_config(self):
+        p = params(t_b=0.5, eta=0.25, f=0.3, p_d=1e-3, v=0.92)
+        return OpticsConfig(params=p, background=1e-3)
+
+    def assert_stream_exact(self, cfg, stream, per_slot=False):
+        dense = dense_click_probabilities(cfg, stream.amplitudes, stream.phases)
+        counts = [np.zeros(len(p), dtype=np.int64) for p in dense]
+        for seed in range(self.N_SEEDS):
+            for k, (ff, ss) in enumerate(_run_chain(cfg, stream, seed, self.STAGES)):
+                assert np.all(ff == 0) and np.all(np.diff(ss) > 0)
+                counts[k] += np.bincount(ss, minlength=len(dense[k]))
+        for c, p in zip(counts, dense):
+            assert_counts_match(c, p, self.N_SEEDS, np.arange(len(p)) if per_slot else None)
+
+    def test_every_slot_of_a_short_train(self):
+        # bright enough that a slot left out of the candidates would show
+        cfg = OpticsConfig(params=params(mu=4.0, t_b=0.5, eta=0.5, p_d=1e-2, v=0.9))
+        stream = _pulse_train(np.array([DECOY, BIT1, BIT0, DECOY], dtype=np.int8), 4.0)
+        self.assert_stream_exact(cfg, stream, per_slot=True)
+
+    def test_clean_stream(self):
+        cfg = self.stream_config()
+        self.assert_stream_exact(cfg, generate_symbols(2000, 0.3, 0.5, seed=1))
+
+    def test_intercept_resend_stream(self):
+        cfg = self.stream_config()
+        attack = AttackConfig(kind=AttackKind.INTERCEPT_RESEND, p_ir=0.5)
+        stream, log = apply_intercept_resend(generate_symbols(2000, 0.3, 0.5, seed=1),
+                                             attack, cfg.params, stage_rng(1, 2))
+        assert len(log.attacked_windows) > 0
+        self.assert_stream_exact(cfg, stream)
+
+    def test_framed_preset(self):
+        p = params(mu=0.5, loss_db=5.0, f=0.1, t_b=0.85, eta=0.1, p_d=2.5e-5 * 1.7,
+                   v=0.92, pulse_period_ns=1e9 / 434e6)
+        cfg = ExperimentConfig(params=p, n_frames=2000, deadtime_ns=0.0)
+        first = run_experiment(cfg, seed=0)
+        frame = _pulse_train(np.array(FRAME_PATTERNS["D010"], dtype=np.int8), p.mu)
+        dense = dense_click_probabilities(cfg, frame.amplitudes, frame.phases,
+                                          len(first.slot_times_ns))
+        totals = {name: np.zeros_like(c) for name, c in first.counts.items()}
+        for seed in range(self.N_SEEDS):
+            for name, c in run_experiment(cfg, seed).counts.items():
+                totals[name] += c
+        for name, p_slot in zip(("D_B", "D_M1", "D_M2"), dense):
+            assert_counts_match(totals[name], p_slot, self.N_SEEDS * cfg.n_frames)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pulses=st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(1e-6, 3.0)),
+                                     st.floats(0.0, 2 * math.pi)),
+                           min_size=1, max_size=60),
+           loss_db=st.floats(0.0, 60.0), t_b=st.floats(0.01, 1.0),
+           eta=st.floats(0.0, 1.0), p_d=st.floats(0.0, 0.1), v=st.floats(0.0, 1.0),
+           il=st.floats(0.0, 0.99), bg=st.floats(0.0, 0.1))
+    def test_bound_holds_at_every_slot(self, pulses, loss_db, t_b, eta, p_d, v, il, bg):
+        amps, phases = np.array(pulses).T
+        cfg = OpticsConfig(params=params(loss_db=loss_db, t_b=t_b, eta=eta, p_d=p_d, v=v),
+                           insertion_loss=il, background=bg)
+        for p, p_hat in zip(dense_click_probabilities(cfg, amps, phases),
+                            _click_bounds(cfg, amps)):
+            assert np.all(p <= p_hat)
 
 
 class TestRunSimulation:
@@ -220,6 +343,35 @@ class TestDeadtime:
         times = np.array([0.0, 1.0, 2.0, 10.0, 11.0, 30.0])
         keep = _suppress_deadtime(times, 5.0)
         assert list(times[keep]) == [0.0, 10.0, 30.0]
+
+    @staticmethod
+    def reference_suppression(times, deadtime):
+        """One pass over every click, keeping those at least deadtime after
+        the last kept one."""
+        keep = np.zeros(len(times), dtype=bool)
+        last = -math.inf
+        for i, t in enumerate(times):
+            if t - last >= deadtime:
+                keep[i] = True
+                last = t
+        return keep
+
+    @settings(max_examples=300, deadline=None)
+    @given(gaps=st.lists(st.integers(0, 12), max_size=300),
+           deadtime=st.integers(1, 8), step=st.sampled_from([0.5, 1.0, 2.5]))
+    def test_matches_one_pass_over_every_click(self, gaps, deadtime, step):
+        # half-integer grids hold repeated times and gaps exactly one deadtime
+        times = np.cumsum(gaps) * step
+        keep = _suppress_deadtime(times, deadtime * step)
+        assert np.array_equal(keep, self.reference_suppression(times, deadtime * step))
+
+    def test_matches_one_pass_on_framed_times(self):
+        # a D_B-like click list: 40k clicks over 600k frames of 11 gated slots
+        rng = np.random.default_rng(3)
+        frames, slots = rng.integers(0, 600000, 40000), rng.integers(0, 11, 40000)
+        times = np.sort(frames * (1e9 / 600e3) + slots * (1e9 / 434e6))
+        keep = _suppress_deadtime(times, 10000.0)
+        assert np.array_equal(keep, self.reference_suppression(times, 10000.0))
 
     def test_continuous_mode_min_gap(self):
         p = params(mu=1.0, eta=1.0, t_b=0.9, p_d=0.0, pulse_period_ns=1.0)
