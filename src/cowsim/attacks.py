@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .rates import PnsKind, PnsModel, Protocol, ProtocolParams, pns_fraction, xi
-from .simulation import DECOY, SymbolStream
+from .simulation import BIT0, BIT1, DECOY, SymbolStream, _uniform_chunks
 
 __all__ = [
     "AttackKind",
@@ -78,10 +78,12 @@ def apply_intercept_resend(stream: SymbolStream, config: AttackConfig,
     """Attack a fraction p_ir of the symbol windows, returning the modified
     stream and a log of what Eve learned.
 
-    Per attacked window: Eve detects each non-empty pulse with probability
-    1 - exp(-mu t). Two detections identify the decoy, resent phase-coherently
-    within the window; one detection resends the maximum-posterior symbol for
-    that click position; no detection resends vacuum.
+    The stream must be clean, as generate_symbols returns it. Per attacked
+    window: Eve detects each non-empty pulse with probability 1 - exp(-mu t).
+    Two detections identify the decoy, resent phase-coherently within the
+    window; one detection resends the maximum-posterior symbol for that click
+    position; no detection resends vacuum. The resent windows become rows of
+    the stream's amplitude table, each with the window's own phase.
     """
     n = stream.n_symbols
     empty_log = AttackLog(attacked_windows=np.empty(0, dtype=np.int64),
@@ -97,14 +99,15 @@ def apply_intercept_resend(stream: SymbolStream, config: AttackConfig,
     boost = 1.0 / (p_det * (2.0 - p_det))
 
     # fixed draw layout: (attack mask, window phase, two pulse detections) per window
-    attacked = rng.random(n) < config.p_ir
+    attacked, clicks = np.empty(n, dtype=bool), np.empty((n, 2), dtype=bool)
+    for rows, u in _uniform_chunks(rng, n):
+        np.less(u, config.p_ir, out=attacked[rows])
     theta = rng.random(n) * (2.0 * math.pi)
-    u = rng.random((n, 2))
+    for rows, u in _uniform_chunks(rng, n, 2):
+        np.less(u, p_det, out=clicks[rows])
 
-    first = stream.amplitudes[0::2].copy()
-    second = stream.amplitudes[1::2].copy()
-    det_first = attacked & (first > 0.0) & (u[:, 0] < p_det)
-    det_second = attacked & (second > 0.0) & (u[:, 1] < p_det)
+    det_first = attacked & (stream.kinds != BIT1) & clicks[:, 0]
+    det_second = attacked & (stream.kinds != BIT0) & clicks[:, 1]
 
     # MAP guess for a single click: bit at that position unless decoys dominate
     bit_posterior = (1.0 - params.f) / 2.0
@@ -113,46 +116,32 @@ def apply_intercept_resend(stream: SymbolStream, config: AttackConfig,
 
     a_pair = math.sqrt(boost * stream.mu)
     a_single = math.sqrt(2.0 * boost * stream.mu)
-
-    both = det_first & det_second
-    only_first = det_first & ~det_second
-    only_second = det_second & ~det_first
-    none = attacked & ~det_first & ~det_second
-
-    new_first = first
-    new_second = second
-    new_first[both] = a_pair
-    new_second[both] = a_pair
+    # Eve's resends index rows appended to Alice's table; a single click is
+    # resent as a pair unless the guess is the bit at that position
+    vacuum, pair, first, second = range(len(stream.table), len(stream.table) + 4)
+    rows = [[0.0, 0.0], [a_pair, a_pair]]
     if guess_bit:
-        new_first[only_first] = a_single
-        new_second[only_first] = 0.0
-        new_first[only_second] = 0.0
-        new_second[only_second] = a_single
-    else:
-        single = only_first | only_second
-        new_first[single] = a_pair
-        new_second[single] = a_pair
-    new_first[none] = 0.0
-    new_second[none] = 0.0
+        rows += [[a_single, 0.0], [0.0, a_single]]
 
-    amplitudes = stream.amplitudes.copy()
-    amplitudes[0::2] = new_first
-    amplitudes[1::2] = new_second
-    phases = stream.phases.copy()
-    resent = attacked & (det_first | det_second)
-    phases[0::2][resent] = theta[resent]
-    phases[1::2][resent] = theta[resent]
+    resent = det_first | det_second
+    shapes = stream.shapes.astype(np.uint8)
+    shapes[attacked] = vacuum
+    shapes[resent] = pair
+    if guess_bit:
+        shapes[det_first & ~det_second] = first
+        shapes[det_second & ~det_first] = second
+
+    theta[~resent] = 0.0  # only a resent window carries a phase
 
     is_bit = stream.kinds != DECOY
-    known_bits = int(np.count_nonzero(is_bit & (det_first | det_second)))
-    conclusive = int(np.count_nonzero(det_first | det_second))
+    known_bits = int(np.count_nonzero(is_bit & resent))
+    conclusive = int(np.count_nonzero(resent))
     log = AttackLog(attacked_windows=np.nonzero(attacked)[0],
                     eve_conclusive=conclusive,
                     eve_known_bits=known_bits,
                     n_windows=n)
-    out = SymbolStream(kinds=stream.kinds, mu=stream.mu,
-                       amplitudes=amplitudes, phases=phases)
-    return out, log
+    return SymbolStream(kinds=stream.kinds, mu=stream.mu, shapes=shapes,
+                        table=np.vstack((stream.table, rows)), theta=theta), log
 
 
 def predicted_signature(config: AttackConfig, params: ProtocolParams,

@@ -16,9 +16,9 @@ from .simulation import (
     MonitoringStats,
     OpticsConfig,
     QberEstimate,
+    SymbolStream,
     UndefinedEstimateError,
     _monitoring_tally,
-    _pulse_train,
     _run_chain,
     estimate_qber,
 )
@@ -82,7 +82,7 @@ def run_experiment(config: ExperimentConfig, seed: int) -> ExperimentResult:
     absolute click times, so one click can mask several following frames.
     """
     tau = config.params.pulse_period_ns
-    frame = _pulse_train(np.array(FRAME_PATTERNS[config.pattern], dtype=np.int8),
+    frame = SymbolStream(np.array(FRAME_PATTERNS[config.pattern], dtype=np.int8),
                          config.params.mu)
     n_pulses = 2 * frame.n_symbols
     n_slots = max(int(config.gate_ns // tau) + 1, n_pulses + 1)

@@ -113,10 +113,8 @@ def announce(record: DetectionRecord) -> Announcement:
     A symbol whose both slots clicked (a dark count in the empty slot) is
     announced once and flagged ambiguous.
     """
-    seq = record.d_b_seq
-    detected = np.unique(seq)
-    counts = np.bincount(seq, minlength=0)
-    ambiguous = np.nonzero(counts > 1)[0]
+    detected, counts = np.unique(record.d_b_seq, return_counts=True)
+    ambiguous = detected[counts > 1]
     m2_times = 2 * record.d_m2_seq + record.d_m2_slot
     return Announcement(detected_indices=detected,
                         ambiguous_indices=ambiguous,

@@ -50,6 +50,9 @@ _STAGE_DATA = 3
 _STAGE_M1 = 4
 _STAGE_M2 = 5
 
+# rows per chunk of the per-symbol uniform draws; bounds their float scratch
+_CHUNK = 1 << 16
+
 
 class UndefinedEstimateError(ValueError):
     """An estimator denominator is empty."""
@@ -63,27 +66,44 @@ def stage_rng(seed: int, stage: int) -> np.random.Generator:
 
 @dataclass
 class SymbolStream:
-    """Alice's emitted pulse train.
+    """Alice's emitted pulse train, held per two-pulse symbol window.
 
-    kinds holds the logical truth (one entry per symbol); amplitudes and phases
-    describe the optical field per pulse, two pulses per symbol. An attack may
-    rewrite amplitudes and phases while kinds keeps what Alice actually sent.
+    kinds holds the logical truth (one entry per symbol). Window w carries the
+    pulse amplitudes table[shapes[w]] at phase theta[w]; a clean stream's
+    shapes are its kinds, its table Alice's pulses per kind and its phases 0
+    (theta None). An attack rewrites shapes, table and theta only.
     """
 
     kinds: np.ndarray
     mu: float
-    amplitudes: np.ndarray
-    phases: np.ndarray
+    shapes: np.ndarray | None = None
+    table: np.ndarray | None = None
+    theta: np.ndarray | None = None
 
     def __post_init__(self):
-        if len(self.amplitudes) != 2 * len(self.kinds):
-            raise ValueError("pulse count must be twice the symbol count")
-        if len(self.phases) != len(self.amplitudes):
-            raise ValueError("phases must be present for every pulse")
+        if self.shapes is None:
+            a = math.sqrt(self.mu)
+            self.shapes, self.table = self.kinds, np.array([[a, 0.0], [0.0, a], [a, a]])
+        if self.table is None or len(self.shapes) != len(self.kinds) or (
+                self.theta is not None and len(self.theta) != len(self.kinds)):
+            raise ValueError("shapes need a table, and one shape and phase per window")
 
     @property
     def n_symbols(self) -> int:
         return len(self.kinds)
+
+    def pulses(self, idx: np.ndarray) -> tuple:
+        """(amplitude, phase) of the pulses at indices idx, two per window;
+        0 for indices outside the train."""
+        inside = (idx >= 0) & (idx < 2 * len(self.kinds))
+        # pulse idx & 1 of window idx >> 1 (clipped), in place: few big temporaries
+        flat = idx & 1
+        flat += 2 * self.shapes.take(idx >> 1, mode="clip")
+        amplitude = self.table.take(flat)
+        amplitude[~inside] = 0.0
+        if self.theta is None:
+            return amplitude, 0.0
+        return amplitude, np.where(inside, self.theta.take(idx >> 1, mode="clip"), 0.0)
 
 
 @dataclass(frozen=True)
@@ -177,22 +197,19 @@ def generate_symbols(n: int, f: float, mu: float, seed: int) -> SymbolStream:
         raise ValueError("n must be positive")
     if not 0.0 <= f < 1.0:
         raise ValueError("f must be in [0, 1)")
-    u = stage_rng(seed, _STAGE_SYMBOLS).random(n)
-    kinds = np.full(n, DECOY, dtype=np.int8)
-    kinds[u < (1.0 - f) / 2.0] = BIT0
-    kinds[(u >= (1.0 - f) / 2.0) & (u < 1.0 - f)] = BIT1
-    return _pulse_train(kinds, mu)
+    kinds = np.empty(n, dtype=np.int8)
+    for rows, u in _uniform_chunks(stage_rng(seed, _STAGE_SYMBOLS), n):
+        # BIT0 below (1-f)/2, BIT1 below 1-f, DECOY above
+        np.add(u >= (1.0 - f) / 2.0, u >= 1.0 - f, out=kinds[rows], dtype=np.int8)
+    return SymbolStream(kinds=kinds, mu=mu)
 
 
-def _pulse_train(kinds: np.ndarray, mu: float) -> SymbolStream:
-    """Alice's in-phase pulses for the given symbols: the arrival slot of a
-    bit, both slots of a decoy."""
-    amplitudes = np.zeros(2 * len(kinds))
-    a = math.sqrt(mu)
-    amplitudes[0::2][kinds != BIT1] = a
-    amplitudes[1::2][kinds != BIT0] = a
-    return SymbolStream(kinds=kinds, mu=mu, amplitudes=amplitudes,
-                        phases=np.zeros(2 * len(kinds)))
+def _uniform_chunks(rng: np.random.Generator, n: int, width: int = 1):
+    """(rows, uniforms) over n rows of `width` uniforms, _CHUNK rows at a
+    time: the same bits as one rng.random draw, with bounded float scratch."""
+    for start in range(0, n, _CHUNK):
+        m = min(_CHUNK, n - start)
+        yield slice(start, start + m), rng.random((m, width) if width > 1 else m)
 
 
 def propagate(amplitudes: np.ndarray, params: ProtocolParams):
@@ -220,31 +237,45 @@ def _click_probability(intensity, eta: float, p_d: float, background: float):
     return 1.0 - (1.0 - p_d) * (1.0 - background) * np.exp(-eta * intensity)
 
 
-def detect(intensity: np.ndarray, p_hat: float, eta: float, p_d: float,
+def detect(intensity: np.ndarray, p_hat: float | np.ndarray, eta: float, p_d: float,
            rng: np.random.Generator, background: float = 0.0) -> np.ndarray:
-    """Threshold detector at candidate slots drawn with probability p_hat: one
-    uniform per candidate keeps it with probability p / p_hat, where the click
-    probability p = 1 - (1-p_d)(1-bg) exp(-eta I) <= p_hat. With p_hat = 1
-    every slot is a candidate. Returns the mask of candidates that click."""
+    """Threshold detector at candidate slots drawn with probability p_hat (one
+    value or one per candidate): one uniform keeps each with probability p / p_hat,
+    where p = 1 - (1-p_d)(1-bg) exp(-eta I) <= p_hat is its click probability.
+    With p_hat = 1 every slot is a candidate. Returns the clicking candidates' mask."""
     p = _click_probability(np.asarray(intensity, dtype=float), eta, p_d, background)
     return rng.random(p.shape) * p_hat < p
 
 
-def _click_bounds(config: OpticsConfig, amplitudes: np.ndarray) -> tuple:
-    """(D_B, D_M1, D_M2) click probabilities at the brightest possible slot,
-    bounding every slot's: the peak pulse, or two peak pulses in phase."""
+def _click_bounds(config: OpticsConfig, peak: float) -> tuple:
+    """(D_B, D_M1, D_M2) click probabilities at the brightest slot of a train
+    whose pulses are no brighter than peak: the peak pulse, or two peak pulses
+    in phase."""
     params = config.params
-    data, monitor = propagate(np.array([amplitudes.max()]), params)
+    data, monitor = propagate(np.array([peak]), params)
     pair = interferometer_outputs(monitor, monitor, 0.0, params.v, config.insertion_loss)[0]
     p = _click_probability(np.concatenate((data, pair)), params.eta, params.p_d,
                            config.background).tolist()
     return p[0], p[1], p[1]
 
 
+def _boosted_slots(stream: SymbolStream) -> tuple:
+    """Ascending D_B and monitor slots touching a window brighter than Alice's
+    pulses: its two pulse slots, and on the monitor ports also the boundary
+    slot on either side. Every other slot sees pulses no brighter than
+    sqrt(mu)."""
+    bright = stream.table.max(axis=1) > math.sqrt(stream.mu)
+    windows = np.flatnonzero(bright[stream.shapes]) if bright.any() else np.empty(0, int)
+    data = (2 * windows[:, None] + np.arange(2)).ravel()
+    monitor = (2 * windows[:, None] + np.arange(3)).ravel()
+    # adjacent windows share the boundary slot between them
+    return data, monitor[np.diff(monitor, prepend=-1) > 0]
+
+
 def _candidates(rng: np.random.Generator, p_hat: float, n: int) -> np.ndarray:
     """Ascending slots of a Bernoulli(p_hat) process over n slots, drawn as
     cumulative sums of geometric gaps: O(candidates) work, not O(n)."""
-    if p_hat <= 0.0:
+    if p_hat <= 0.0 or n <= 0:
         return np.empty(0, dtype=np.int64)
     size = int(n * p_hat + 5.0 * math.sqrt(n * p_hat)) + 1
     chunks, last = [], -1
@@ -256,10 +287,20 @@ def _candidates(rng: np.random.Generator, p_hat: float, n: int) -> np.ndarray:
     return pos[:np.searchsorted(pos, n)]
 
 
-def _at(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """values[idx], with 0 where idx falls outside values."""
-    inside = (idx >= 0) & (idx < len(values))
-    return np.where(inside, values[np.where(inside, idx, 0)], 0.0)
+def _class_candidates(rng: np.random.Generator, p_lo: float, p_hi: float, n: int,
+                      boosted: np.ndarray) -> tuple:
+    """Ascending candidate slots over n slots with each one's bound: the
+    ascending slots `boosted` drawn at p_hi, all others at p_lo. The p_lo
+    class is drawn first, so without boosted slots the draws are those of
+    one Bernoulli(p_lo) process."""
+    lo = _candidates(rng, p_lo, n - len(boosted))
+    if not len(boosted):
+        return lo, p_lo
+    # the r-th slot outside `boosted` lies past the boosted slots it skips
+    lo += np.searchsorted(boosted - np.arange(len(boosted)), lo, side="right")
+    slots = np.concatenate((lo, boosted[_candidates(rng, p_hi, len(boosted))]))
+    order = np.argsort(slots, kind="stable")
+    return slots[order], np.where(order < len(lo), p_lo, p_hi)
 
 
 def _suppress_deadtime(times: np.ndarray, deadtime: float) -> np.ndarray:
@@ -298,21 +339,30 @@ def _run_chain(config: OpticsConfig, stream: SymbolStream, seed: int,
     train, each as (frame, slot) arrays in ascending time. Every detector sees
     at least n_slots slots per frame (dark counts only past the light); stages
     are the detectors' Philox stage ids. The optics are evaluated only at
-    candidate slots (see detect). Deadtime acts on the absolute times
+    candidate slots (see detect), drawn per class: slots touching a window
+    brighter than Alice's pulses at the bound of the brightest pulse, all
+    others at the bound of sqrt(mu). Deadtime acts on the absolute times
     frame * frame_period_ns + slot * pulse_period_ns, so it spans frames."""
     params = config.params
-    amps, phases = stream.amplitudes, stream.phases
+    bounds = zip(_click_bounds(config, math.sqrt(stream.mu)),
+                 _click_bounds(config, float(stream.table.max())))
+    data, monitor = _boosted_slots(stream)
     clicks = []
-    for k, (p_hat, stage) in enumerate(zip(_click_bounds(config, amps), stages)):
+    for k, ((p_lo, p_hi), stage) in enumerate(zip(bounds, stages)):
         rng = stage_rng(seed, stage)
-        width = max(n_slots, len(amps) + (k > 0))  # one more monitor slot than pulses
-        ff, ss = np.divmod(_candidates(rng, p_hat, n_frames * width), width)
+        width = max(n_slots, 2 * stream.n_symbols + (k > 0))  # one more monitor slot
+        boosted = monitor if k else data
+        if len(boosted):  # the same slots in every frame
+            boosted = (width * np.arange(n_frames)[:, None] + boosted).ravel()
+        ss, p_hat = _class_candidates(rng, p_lo, p_hi, n_frames * width, boosted)
+        ff, ss = np.divmod(ss, width)
         if k == 0:
-            intensity = propagate(_at(amps, ss), params)[0]
+            intensity = propagate(stream.pulses(ss)[0], params)[0]
         else:
+            (a_left, ph_left), (a_right, ph_right) = stream.pulses(ss - 1), stream.pulses(ss)
             intensity = interferometer_outputs(
-                propagate(_at(amps, ss - 1), params)[1], propagate(_at(amps, ss), params)[1],
-                _at(phases, ss - 1) - _at(phases, ss), params.v, config.insertion_loss)[k - 1]
+                propagate(a_left, params)[1], propagate(a_right, params)[1],
+                ph_left - ph_right, params.v, config.insertion_loss)[k - 1]
         keep = detect(intensity, p_hat, params.eta, params.p_d, rng, config.background)
         ff, ss = ff[keep], ss[keep]
         if config.deadtime_ns > 0.0:
@@ -390,7 +440,8 @@ def simulate_stream(config: OpticsConfig, stream: SymbolStream, seed: int) -> Si
     """Run the optical chain for an existing pulse train.
 
     Deterministic for a fixed (seed, stream): each stage draws its candidate
-    slots from the train's length and peak amplitude, then one uniform each.
+    slots from the train's length and its windows' peak amplitudes, then one
+    uniform each.
     """
     (_, gb), (_, g1), (_, g2) = _run_chain(config, stream, seed,
                                           (_STAGE_DATA, _STAGE_M1, _STAGE_M2))
@@ -408,7 +459,8 @@ def simulate_stream(config: OpticsConfig, stream: SymbolStream, seed: int) -> Si
     empirical_r = n_signal / n_bits if n_bits else 0.0
     # per non-empty pulse: with insertion loss L this converges to
     # (1-L) mu t (1-t_B) eta, i.e. half the lossless rate at the default L=0.5
-    n_nonempty = int(np.count_nonzero(stream.amplitudes > 0.0))
+    n_nonempty = int(np.bincount(stream.shapes, minlength=len(stream.table))
+                     @ np.count_nonzero(stream.table > 0.0, axis=1))
     monitoring_rate = (len(g1) + len(g2)) / n_nonempty if n_nonempty else 0.0
     try:
         qber_est = estimate_qber(record.d_b_seq, record.d_b_slot, kind)

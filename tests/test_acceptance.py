@@ -123,7 +123,7 @@ def test_criterion_3_monte_carlo_vs_analysis():
     assert abs(sim.empirical_r - r_exact) < 3.0 * sigma_r
 
     mon = monitoring_rate(params)
-    n_nonempty = int(np.count_nonzero(sim.stream.amplitudes > 0))
+    n_nonempty = int(np.count_nonzero(sim.stream.pulses(np.arange(2 * n))[0] > 0))
     sigma_m = math.sqrt(mon * (1.0 - mon) / n_nonempty)
     assert abs(sim.monitoring_rate_per_pulse - mon) < 3.0 * sigma_m
 
@@ -241,8 +241,7 @@ def test_criterion_7_protocol_pipeline():
 
     # hand-traced four-symbol sifting example
     kinds = np.array([BIT0, BIT1, DECOY, BIT0], dtype=np.int8)
-    stream = SymbolStream(kinds=kinds, mu=0.5, amplitudes=np.zeros(8),
-                          phases=np.zeros(8))
+    stream = SymbolStream(kinds=kinds, mu=0.5)
     record = DetectionRecord(
         d_b_seq=np.array([0, 2]), d_b_slot=np.array([0, 0]),
         d_m1_seq=np.empty(0, int), d_m1_slot=np.empty(0, int),

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cowsim import (
     AttackConfig,
@@ -21,7 +23,7 @@ from cowsim import (
     run_simulation,
     xi,
 )
-from cowsim.simulation import DECOY, stage_rng
+from cowsim.simulation import BIT0, BIT1, DECOY, SymbolStream, stage_rng
 
 # attack study configuration: mu t = 0.05 with a strong monitoring tap and a
 # lossless interferometer so the class estimates carry real statistics
@@ -49,7 +51,52 @@ def data_click_probs(params, p_ir):
     return p_un, p_att, (1.0 - p_ir) * p_un + p_ir * p_att
 
 
+def dense_attacked_train(kinds, mu, config, params, rng):
+    """Every pulse's (amplitude, phase) of Alice's train after the attack,
+    built pulse by pulse from the attack's draws (attack mask, window phase,
+    two pulse detections): the reference the window lookup must reproduce."""
+    n, a = len(kinds), math.sqrt(mu)
+    amplitudes = np.zeros(2 * n)
+    amplitudes[0::2][kinds != BIT1] = a
+    amplitudes[1::2][kinds != BIT0] = a
+    phases = np.zeros(2 * n)
+    p_det = -math.expm1(-mu * params.t)
+    if not config.is_active() or p_det <= 0.0:
+        return amplitudes, phases
+    boost = 1.0 / (p_det * (2.0 - p_det))
+    attacked = rng.random(n) < config.p_ir
+    theta = rng.random(n) * (2.0 * math.pi)
+    u = rng.random((n, 2))
+    first, second = amplitudes[0::2], amplitudes[1::2]
+    det = [attacked & (first > 0.0) & (u[:, 0] < p_det),
+           attacked & (second > 0.0) & (u[:, 1] < p_det)]
+    guess_bit = (1.0 - params.f) / 2.0 >= params.f * (1.0 - p_det)
+    for i, pulse in enumerate((first, second)):
+        pulse[attacked] = 0.0  # vacuum unless Eve resends
+        pulse[det[0] & det[1]] = math.sqrt(boost * mu)
+        single = det[i] & ~det[1 - i] if guess_bit else det[0] ^ det[1]
+        pulse[single] = math.sqrt((2.0 if guess_bit else 1.0) * boost * mu)
+        phases[i::2][det[0] | det[1]] = theta[det[0] | det[1]]
+    return amplitudes, phases
+
+
 class TestStreamTransform:
+    @settings(max_examples=200, deadline=None)
+    @given(kinds=st.lists(st.integers(0, 2), min_size=1, max_size=200),
+           mu=st.floats(0.0, 50.0), p_ir=st.floats(0.0, 1.0), f=st.floats(0.0, 0.99),
+           loss_db=st.floats(0.0, 30.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_lookup_equals_dense_train(self, kinds, mu, p_ir, f, loss_db, seed):
+        kinds = np.array(kinds, dtype=np.int8)
+        params = attack_params(mu=mu, f=f, loss_db=loss_db)
+        out, _ = apply_intercept_resend(SymbolStream(kinds, mu), ir(p_ir), params,
+                                        stage_rng(seed, 2))
+        amplitudes, phases = dense_attacked_train(kinds, mu, ir(p_ir), params,
+                                                  stage_rng(seed, 2))
+        idx = np.arange(-1, 2 * len(kinds) + 1)  # one pulse past either end
+        a, ph = out.pulses(idx)
+        assert np.array_equal(a, np.pad(amplitudes, 1))
+        assert np.array_equal(np.broadcast_to(ph, a.shape), np.pad(phases, 1))
+
     def test_inactive_attack_is_identity(self):
         stream = generate_symbols(20000, 0.3, 0.5, seed=1)
         for cfg in (AttackConfig(), ir(0.0),
@@ -75,12 +122,13 @@ class TestStreamTransform:
         stream = generate_symbols(50000, 0.3, 0.5, seed=3)
         out, _ = apply_intercept_resend(stream, ir(1.0), attack_params(),
                                         stage_rng(3, 2))
-        resent = out.amplitudes > 0
+        amplitudes, phases = out.pulses(np.arange(2 * out.n_symbols))
+        resent = amplitudes > 0
         # original stream is all phase 0; every resent pulse gets a fresh one
-        assert np.all(out.phases[resent] != 0.0)
+        assert np.all(phases[resent] != 0.0)
         # the two pulses of a resent decoy share their window phase
-        both = (out.amplitudes[0::2] > 0) & (out.amplitudes[1::2] > 0)
-        assert np.all(out.phases[0::2][both] == out.phases[1::2][both])
+        both = (amplitudes[0::2] > 0) & (amplitudes[1::2] > 0)
+        assert np.all(phases[0::2][both] == phases[1::2][both])
 
     def test_conclusive_limit_restores_visibility(self):
         # mu t = 50: Eve resolves every pair, decoy coherence survives

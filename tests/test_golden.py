@@ -8,7 +8,13 @@ uniform per slot to the sparse draw (geometric gaps to candidate slots, one
 uniform per candidate); keyrate and curve draw nothing and kept their hashes.
 The exit code of simulate_dump_events depends on the seed: its full
 intercept-resend attack aborts on about 4 seeds in 10 (22 of 60 with the
-per-slot draw, 24 of 60 with the sparse one), and seed 3 now runs through."""
+per-slot draw, 24 of 60 with the sparse one), and seed 3 now runs through.
+
+simulate_dump_events was regenerated once more when attacked streams began
+drawing candidates per window class: slots touching a window Eve resent
+brighter than Alice's pulses at the bound of that brightness, all others at
+the bound of Alice's pulses. Clean streams draw as before, so every other case
+kept its hash. simulate_no_decoy_abort pins the bytes of an aborted run."""
 
 import hashlib
 
@@ -37,8 +43,8 @@ GOLDEN = {
          "--set", "attack=intercept-resend", "--set", "p_ir=1.0",
          "--set", "t_b=0.5", "--set", "eta=0.25", "--set", "f=0.3",
          "--set", "p_d=1e-4", "--dump-events", "{tmp}/events.csv"], 0,
-        {"out.csv": "a08515c46c7f8c4a6f462b95b9bc019e4dc4d0b05d47722c64c25ef986f6ef5b",
-         "events.csv": "8e60a2c65e1fb2909a91d71065f50f65c6b0358772039d2180b189cd2297b1e9"}),
+        {"out.csv": "4e86a8d2169df06dc170a977bc78fbdb5bf8a82f9d4d36701ad8be631169a72e",
+         "events.csv": "cc356d7bbcffda81cf04ccb530a5313d32efe24f618945da12f13e6a3f397226"}),
     "simulate_deadtime": (
         ["simulate", "--set", "n_symbols=40000", "--seed", "4",
          "--set", "mu=2.0", "--set", "eta=0.5", "--set", "p_d=1e-3",
@@ -52,6 +58,9 @@ GOLDEN = {
         ["simulate", "--config", "{tmp}/run.cfg", "--seed", "11",
          "--protocol", "bb84-decoy", "--pns-model", "alt"], 0,
         {"out.csv": "48f81bcc301381125c45dd4929bb7e7e420b433b95148d56139218aa2dd00941"}),
+    "simulate_no_decoy_abort": (
+        ["simulate", "--set", "f=0", "--set", "n_symbols=20000", "--seed", "5"], 2,
+        {"out.csv": "6a74f1dbcabd846b630dd8688411db33218469f60e3c17d6d1c268ad3a170a4c"}),
 }
 
 

@@ -40,8 +40,7 @@ def record_with(seq, slot):
 
 def stream_of(kinds):
     k = np.asarray(kinds, dtype=np.int8)
-    return SymbolStream(kinds=k, mu=0.5, amplitudes=np.zeros(2 * len(k)),
-                        phases=np.zeros(2 * len(k)))
+    return SymbolStream(kinds=k, mu=0.5)
 
 
 def params(mu=0.5, **over):

@@ -33,9 +33,11 @@ from cowsim.simulation import (
     BIT0,
     BIT1,
     DECOY,
+    _CHUNK,
+    _STAGE_SYMBOLS,
     SymbolStream,
+    _boosted_slots,
     _click_bounds,
-    _pulse_train,
     _run_chain,
     _suppress_deadtime,
     _wilson,
@@ -47,6 +49,13 @@ def params(mu=0.5, **over):
     kw = dict(loss_db=0.0, f=0.1, t_b=0.9, eta=0.1, p_d=1e-5, v=1.0)
     kw.update(over)
     return ProtocolParams(mu=mu, **kw)
+
+
+def dense_train(stream):
+    """Every pulse's (amplitude, phase), from the window lookup over the
+    whole train."""
+    amplitudes, phases = stream.pulses(np.arange(2 * stream.n_symbols))
+    return amplitudes, np.broadcast_to(phases, amplitudes.shape)
 
 
 class TestGenerateSymbols:
@@ -67,16 +76,28 @@ class TestGenerateSymbols:
 
     def test_pulse_layout(self):
         s = generate_symbols(1000, 0.2, 0.5, seed=4)
-        assert len(s.amplitudes) == 2000 and len(s.phases) == 2000
+        amplitudes, phases = dense_train(s)
+        assert len(amplitudes) == 2000 and len(phases) == 2000
         a = math.sqrt(0.5)
-        first, second = s.amplitudes[0::2], s.amplitudes[1::2]
+        first, second = amplitudes[0::2], amplitudes[1::2]
         assert np.all(first[s.kinds == BIT0] == a)
         assert np.all(second[s.kinds == BIT0] == 0.0)
         assert np.all(first[s.kinds == BIT1] == 0.0)
         assert np.all(second[s.kinds == BIT1] == a)
         assert np.all(first[s.kinds == DECOY] == a)
         assert np.all(second[s.kinds == DECOY] == a)
-        assert np.all(s.phases == 0.0)
+        assert np.all(phases == 0.0)
+
+    def test_chunked_draw_equals_one_draw(self):
+        # n is not a multiple of the chunk, so the last chunk is a short one
+        n, f = 2 * _CHUNK + 12345, 0.1
+        u = stage_rng(6, _STAGE_SYMBOLS).random(n)
+        reference = np.full(n, DECOY, dtype=np.int8)
+        reference[u < (1.0 - f) / 2.0] = BIT0
+        reference[(u >= (1.0 - f) / 2.0) & (u < 1.0 - f)] = BIT1
+        s = generate_symbols(n, f, 0.5, seed=6)
+        assert s.kinds.dtype == np.int8
+        assert np.array_equal(s.kinds, reference)
 
     def test_deterministic(self):
         a = generate_symbols(5000, 0.1, 0.5, seed=9)
@@ -86,25 +107,25 @@ class TestGenerateSymbols:
 
 class TestPropagate:
     def test_lossless(self):
-        s = generate_symbols(100, 0.1, 0.5, seed=1)
-        data_intensity, monitor_amplitude = propagate(s.amplitudes, params(t_b=1.0))
-        nonempty = s.amplitudes > 0
+        amplitudes = dense_train(generate_symbols(100, 0.1, 0.5, seed=1))[0]
+        data_intensity, monitor_amplitude = propagate(amplitudes, params(t_b=1.0))
+        nonempty = amplitudes > 0
         assert data_intensity[nonempty] == pytest.approx(0.5)
         assert np.all(monitor_amplitude == 0.0)
 
     def test_split_values(self):
-        s = SymbolStream(kinds=np.array([BIT0], dtype=np.int8), mu=0.5,
-                         amplitudes=np.array([math.sqrt(0.5), 0.0]),
-                         phases=np.zeros(2))
+        s = SymbolStream(kinds=np.array([BIT0], dtype=np.int8), mu=0.5)
+        amplitudes = dense_train(s)[0]
+        assert list(amplitudes) == [math.sqrt(0.5), 0.0]
         p = ProtocolParams.from_transmission(0.5, 0.316228, f=0.1, t_b=0.9,
                                              eta=0.1, p_d=1e-5, v=1.0)
-        data_intensity, monitor_amplitude = propagate(s.amplitudes, p)
+        data_intensity, monitor_amplitude = propagate(amplitudes, p)
         assert data_intensity[0] == pytest.approx(0.1423026, abs=1e-6)
         assert monitor_amplitude[0] ** 2 == pytest.approx(0.0158114, abs=1e-6)
 
     def test_dark_source(self):
-        s = generate_symbols(100, 0.1, 0.0, seed=1)
-        data_intensity, monitor_amplitude = propagate(s.amplitudes, params())
+        amplitudes = dense_train(generate_symbols(100, 0.1, 0.0, seed=1))[0]
+        data_intensity, monitor_amplitude = propagate(amplitudes, params())
         assert np.all(data_intensity == 0.0)
         assert np.all(monitor_amplitude == 0.0)
 
@@ -215,7 +236,7 @@ class TestSparseSampler:
         return OpticsConfig(params=p, background=1e-3)
 
     def assert_stream_exact(self, cfg, stream, per_slot=False):
-        dense = dense_click_probabilities(cfg, stream.amplitudes, stream.phases)
+        dense = dense_click_probabilities(cfg, *dense_train(stream))
         counts = [np.zeros(len(p), dtype=np.int64) for p in dense]
         for seed in range(self.N_SEEDS):
             for k, (ff, ss) in enumerate(_run_chain(cfg, stream, seed, self.STAGES)):
@@ -227,7 +248,21 @@ class TestSparseSampler:
     def test_every_slot_of_a_short_train(self):
         # bright enough that a slot left out of the candidates would show
         cfg = OpticsConfig(params=params(mu=4.0, t_b=0.5, eta=0.5, p_d=1e-2, v=0.9))
-        stream = _pulse_train(np.array([DECOY, BIT1, BIT0, DECOY], dtype=np.int8), 4.0)
+        stream = SymbolStream(np.array([DECOY, BIT1, BIT0, DECOY], dtype=np.int8), 4.0)
+        self.assert_stream_exact(cfg, stream, per_slot=True)
+
+    def test_every_slot_of_a_short_attacked_train(self):
+        # resends brighter than Alice's pulses, one next to a clean window on
+        # either side (monitor slots 4 and 6 touch them only at a boundary)
+        cfg = OpticsConfig(params=params(mu=1.0, t_b=0.5, eta=1.0, p_d=1e-2, v=0.5),
+                           insertion_loss=0.0)
+        kinds = np.array([DECOY, BIT1, DECOY, BIT0, DECOY, BIT1], dtype=np.int8)
+        pair, single = math.sqrt(3.2), math.sqrt(6.4)  # a boost of 3.2 at mu = 1
+        eve = [[0.0, 0.0], [pair, pair], [single, 0.0], [0.0, single]]
+        stream = SymbolStream(kinds, 1.0, shapes=np.array([2, 6, 2, 5, 4, 1], dtype=np.uint8),
+                              table=np.vstack((SymbolStream(kinds, 1.0).table, eve)),
+                              theta=np.array([0.0, 1.5, 0.0, 4.7, 3.0, 0.0]))
+        assert _boosted_slots(stream)[1].tolist() == [2, 3, 4, 6, 7, 8, 9, 10]
         self.assert_stream_exact(cfg, stream, per_slot=True)
 
     def test_clean_stream(self):
@@ -247,9 +282,8 @@ class TestSparseSampler:
                    v=0.92, pulse_period_ns=1e9 / 434e6)
         cfg = ExperimentConfig(params=p, n_frames=2000, deadtime_ns=0.0)
         first = run_experiment(cfg, seed=0)
-        frame = _pulse_train(np.array(FRAME_PATTERNS["D010"], dtype=np.int8), p.mu)
-        dense = dense_click_probabilities(cfg, frame.amplitudes, frame.phases,
-                                          len(first.slot_times_ns))
+        frame = SymbolStream(np.array(FRAME_PATTERNS["D010"], dtype=np.int8), p.mu)
+        dense = dense_click_probabilities(cfg, *dense_train(frame), len(first.slot_times_ns))
         totals = {name: np.zeros_like(c) for name, c in first.counts.items()}
         for seed in range(self.N_SEEDS):
             for name, c in run_experiment(cfg, seed).counts.items():
@@ -258,18 +292,29 @@ class TestSparseSampler:
             assert_counts_match(totals[name], p_slot, self.N_SEEDS * cfg.n_frames)
 
     @settings(max_examples=300, deadline=None)
-    @given(pulses=st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(1e-6, 3.0)),
-                                     st.floats(0.0, 2 * math.pi)),
-                           min_size=1, max_size=60),
-           loss_db=st.floats(0.0, 60.0), t_b=st.floats(0.01, 1.0),
+    @given(windows=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 5),
+                                      st.floats(0.0, 2 * math.pi)),
+                            min_size=1, max_size=30),
+           rows=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 3.0)),
+                         min_size=6, max_size=6),
+           mu=st.floats(0.0, 9.0), loss_db=st.floats(0.0, 60.0), t_b=st.floats(0.01, 1.0),
            eta=st.floats(0.0, 1.0), p_d=st.floats(0.0, 0.1), v=st.floats(0.0, 1.0),
            il=st.floats(0.0, 0.99), bg=st.floats(0.0, 0.1))
-    def test_bound_holds_at_every_slot(self, pulses, loss_db, t_b, eta, p_d, v, il, bg):
-        amps, phases = np.array(pulses).T
+    def test_bound_holds_at_every_slot(self, windows, rows, mu, loss_db, t_b, eta, p_d,
+                                       v, il, bg):
+        # windows index Alice's three rows or three arbitrary ones at random phases
+        kinds, shapes, theta = (np.array(c) for c in zip(*windows))
+        kinds = kinds.astype(np.int8)
+        table = np.vstack((SymbolStream(kinds, mu).table, np.reshape(rows, (3, 2))))
+        stream = SymbolStream(kinds, mu, shapes=shapes.astype(np.uint8), table=table,
+                              theta=theta)
         cfg = OpticsConfig(params=params(loss_db=loss_db, t_b=t_b, eta=eta, p_d=p_d, v=v),
                            insertion_loss=il, background=bg)
-        for p, p_hat in zip(dense_click_probabilities(cfg, amps, phases),
-                            _click_bounds(cfg, amps)):
+        bounds = zip(dense_click_probabilities(cfg, *dense_train(stream)),
+                     _click_bounds(cfg, math.sqrt(mu)), _click_bounds(cfg, table.max()))
+        for k, (p, p_lo, p_hi) in enumerate(bounds):
+            p_hat = np.full(len(p), p_lo)
+            p_hat[_boosted_slots(stream)[k > 0]] = p_hi
             assert np.all(p <= p_hat)
 
 
