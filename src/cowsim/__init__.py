@@ -40,14 +40,12 @@ from .simulation import (
     MonitoringStats,
     QberEstimate,
     SimResult,
-    UndefinedEstimateError,
     generate_symbols,
     propagate,
     interferometer_outputs,
     detect,
     run_simulation,
     simulate_stream,
-    estimate_visibility,
     estimate_qber,
 )
 from .attacks import (

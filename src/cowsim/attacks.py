@@ -36,13 +36,6 @@ class AttackKind(Enum):
     INTERCEPT_RESEND = "intercept-resend"
     PNS_COUNTING = "pns-counting"
 
-    @classmethod
-    def parse(cls, name: str) -> "AttackKind":
-        for k in cls:
-            if k.value == name:
-                return k
-        raise ValueError(f"unknown attack {name!r} (use none|intercept-resend|pns-counting)")
-
 
 @dataclass(frozen=True)
 class AttackConfig:

@@ -17,7 +17,7 @@ from .config import EXPERIMENT_PRESET, ConfigError, RunConfig
 from .experiment import DETECTORS, run_experiment
 from .optimize import optimize_mu, sweep_loss
 from .protocol import run_protocol
-from .rates import UndefinedRateError, eve_information, secret_key_rate
+from .rates import secret_key_rate
 
 __all__ = ["main"]
 
@@ -45,19 +45,11 @@ def _metadata(cfg: RunConfig, command: str) -> list[str]:
 
 def cmd_keyrate(cfg: RunConfig, out_path) -> int:
     params = cfg.params()
-    try:
-        res = secret_key_rate(params, cfg.protocol(), cfg.pns_model(),
-                              cfg.rate_mode())
-        row = (cfg["protocol"], params.v, params.loss_db, res.mu, res.r_s,
-               res.qber.q_opt, res.qber.q_det, res.qber.q_total,
-               res.eve.r, res.eve.p_ir, res.eve.i_ir, res.eve.i_eve,
-               res.eve.feasible, res.r_sk_raw, res.r_sk)
-    except UndefinedRateError:
-        # dead source and dark-free detectors: every rate is zero
-        eve = eve_information(params, cfg.protocol(), cfg.pns_model())
-        row = (cfg["protocol"], params.v, params.loss_db, params.mu, 0.0,
-               0.0, 0.0, 0.0, eve.r, eve.p_ir, eve.i_ir, eve.i_eve,
-               eve.feasible, 0.0, 0.0)
+    res = secret_key_rate(params, cfg.protocol(), cfg.pns_model(), cfg.rate_mode())
+    row = (cfg["protocol"], params.v, params.loss_db, res.mu, res.r_s,
+           res.qber.q_opt, res.qber.q_det, res.qber.q_total,
+           res.eve.r, res.eve.p_ir, res.eve.i_ir, res.eve.i_eve,
+           res.eve.feasible, res.r_sk_raw, res.r_sk)
     lines = _metadata(cfg, "keyrate")
     lines.append("protocol,v,loss_db,mu,r_s,q_opt,q_det,q_total,"
                  "r,p_ir,i_ir,i_eve,feasible,r_sk_raw,r_sk")
@@ -105,10 +97,9 @@ def cmd_simulate(cfg: RunConfig, out_path, dump_events=None) -> int:
     lines = _metadata(cfg, "simulate")
     pred_v, pred_i = predicted_signature(attack, cfg.params(), cfg.protocol(),
                                          cfg.pns_model())
-    sim, ann, est, dist = (report.sim, report.announcement, report.estimation,
-                           report.distill)
+    sim, ann, q, est, dist = (report.sim, report.announcement, report.qber,
+                              report.estimation, report.distill)
     n = sim.stream.n_symbols
-    q = sim.qber
     lines.append("n_symbols,n_detected,n_ambiguous,n_sifted,sifted_rate,"
                  "qber,qber_lo,qber_hi,v_10,v_d,abort,abort_reason,i_eve,"
                  "shrink_fraction,n_secret,secret_fraction,empirical_r,"

@@ -19,6 +19,15 @@ class ConfigError(ValueError):
     pass
 
 
+def _member(kind, what: str, name: str):
+    """The member of the enum `kind` whose value is name."""
+    try:
+        return kind(name)
+    except ValueError:
+        raise ConfigError(f"unknown {what} {name!r} "
+                          f"(use {'|'.join(m.value for m in kind)})") from None
+
+
 def _bool(text: str) -> bool:
     if text.lower() in ("true", "1", "yes"):
         return True
@@ -151,19 +160,22 @@ class RunConfig:
             background=self["background"])
 
     def protocol(self) -> Protocol:
-        return Protocol.parse(self["protocol"])
+        return _member(Protocol, "protocol", self["protocol"])
 
     def protocol_list(self) -> list[Protocol]:
-        return [Protocol.parse(p.strip()) for p in self["protocols"].split(",") if p.strip()]
+        return [_member(Protocol, "protocol", p.strip())
+                for p in self["protocols"].split(",") if p.strip()]
 
     def pns_model(self) -> PnsModel:
-        return PnsModel(kind=PnsKind.parse(self["pns_model"]), clamp=self["pns_clamp"])
+        return PnsModel(kind=_member(PnsKind, "pns model", self["pns_model"]),
+                        clamp=self["pns_clamp"])
 
     def rate_mode(self) -> RateMode:
-        return RateMode.parse(self["rate_mode"])
+        return _member(RateMode, "rate mode", self["rate_mode"])
 
     def attack_config(self) -> AttackConfig:
-        return AttackConfig(kind=AttackKind.parse(self["attack"]), p_ir=self["p_ir"])
+        return AttackConfig(kind=_member(AttackKind, "attack", self["attack"]),
+                            p_ir=self["p_ir"])
 
     def optimization_spec(self) -> OptimizationSpec:
         return OptimizationSpec(

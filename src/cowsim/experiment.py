@@ -1,6 +1,7 @@
 """Framed-sequence simulation mode: a fixed short pulse pattern repeated at a
 sequence clock, with gated detectors and non-paralyzable deadtime spanning
-frames. Produces per-slot arrival histograms and raw detection rates."""
+frames. Produces per-slot arrival histograms, raw detection rates and the
+data-line QBER of the sifted key."""
 
 from __future__ import annotations
 
@@ -9,15 +10,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .protocol import announce, sift
 from .simulation import (
     BIT0,
     BIT1,
     DECOY,
+    DetectionRecord,
     MonitoringStats,
     OpticsConfig,
     QberEstimate,
     SymbolStream,
-    UndefinedEstimateError,
     _monitoring_tally,
     _run_chain,
     estimate_qber,
@@ -97,11 +99,12 @@ def run_experiment(config: ExperimentConfig, seed: int) -> ExperimentResult:
     ff, ss = clicks["D_B"]
     in_train = ss < n_pulses  # later gated slots hold dark counts only
     ff, ss = ff[in_train], ss[in_train]
-    try:
-        qber = estimate_qber(ff * frame.n_symbols + ss // 2, ss % 2,
-                             frame.kinds[ss // 2])
-    except UndefinedEstimateError:
-        qber = None
+    # sifted like a stream: symbol k of frame f is symbol f * n + k
+    no_clicks = np.empty(0, dtype=np.int64)  # the data QBER needs no monitor clicks
+    record = DetectionRecord(ff * frame.n_symbols + ss // 2, ss % 2,
+                             no_clicks, no_clicks, no_clicks, no_clicks)
+    key = sift(frame, announce(record), record)
+    qber = estimate_qber(key.alice_bits, key.bob_bits)
     return ExperimentResult(
         slot_times_ns=np.arange(n_slots) * tau,
         counts=counts, clicks=clicks, rate_hz=rate_hz,

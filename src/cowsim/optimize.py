@@ -18,11 +18,8 @@ from .rates import (
     PnsModel,
     Protocol,
     ProtocolParams,
-    QberBreakdown,
     RateMode,
-    UndefinedRateError,
     _rsk_arrays,
-    eve_information,
     secret_key_rate,
 )
 
@@ -101,15 +98,7 @@ def optimize_mu(params: ProtocolParams, protocol: Protocol = Protocol.COW,
     grid = np.linspace(spec.mu_min, spec.mu_max, spec.grid_points)
     vals = f(grid)
     if not np.any(vals > 0.0):
-        at_min = replace(params, mu=spec.mu_min)
-        try:
-            result = secret_key_rate(at_min, protocol, model, mode)
-        except UndefinedRateError:
-            # degenerate channel: report zero rates alongside the flag
-            result = KeyRateResult(mu=spec.mu_min, r_s=0.0,
-                                   qber=QberBreakdown(0.0, 0.0, 0.0),
-                                   eve=eve_information(at_min, protocol, model),
-                                   r_sk_raw=0.0, r_sk=0.0)
+        result = secret_key_rate(replace(params, mu=spec.mu_min), protocol, model, mode)
         return OptimizeResult(mu_star=spec.mu_min, keyrate=result, all_zero=True)
 
     i = int(np.argmax(vals))  # first max: smallest-mu tie break on the grid
@@ -122,7 +111,10 @@ def optimize_mu(params: ProtocolParams, protocol: Protocol = Protocol.COW,
     fc = float(f(c))
     fd = float(f(d))
     best_mu, best_val = float(grid[i]), float(vals[i])
-    while b - a > spec.refine_tolerance:
+    width = math.inf
+    # a tolerance below the float spacing at mu* would stall the bracket
+    while spec.refine_tolerance < b - a < width:
+        width = b - a
         for mu_cand, val_cand in ((c, fc), (d, fd)):
             if val_cand > best_val or (val_cand == best_val and mu_cand < best_mu):
                 best_mu, best_val = float(mu_cand), float(val_cand)

@@ -26,8 +26,10 @@ from .simulation import (
     DetectionRecord,
     MonitoringStats,
     OpticsConfig,
+    QberEstimate,
     SimResult,
     SymbolStream,
+    estimate_qber,
     run_simulation,
     visibility_stderr,
 )
@@ -103,6 +105,8 @@ class ProtocolReport:
 
     sim: SimResult
     announcement: Announcement
+    sifted: SiftedKeyPair
+    qber: QberEstimate | None
     estimation: EstimationReport
     distill: DistillationSummary
 
@@ -124,19 +128,26 @@ def announce(record: DetectionRecord) -> Announcement:
 def sift(stream: SymbolStream, announcement: Announcement,
          record: DetectionRecord) -> SiftedKeyPair:
     """Drop decoy detections and ambiguous symbols; pair Alice's sent bits
-    with Bob's arrival-slot bits for the surviving indices."""
-    keep_mask = np.zeros(stream.n_symbols, dtype=bool)
-    keep_mask[announcement.detected_indices] = True
-    keep_mask[announcement.ambiguous_indices] = False
-    keep_mask &= stream.kinds != DECOY
-    kept = np.nonzero(keep_mask)[0]
+    with Bob's arrival-slot bits for the surviving indices.
 
-    bob_slot = np.zeros(stream.n_symbols, dtype=np.int8)
-    bob_slot[record.d_b_seq] = record.d_b_slot
-    alice_bits = (stream.kinds[kept] == BIT1).astype(np.int8)
-    bob_bits = bob_slot[kept]
-    return SiftedKeyPair(alice_bits=alice_bits, bob_bits=bob_bits,
-                         kept_indices=kept)
+    Reads only the clicks. Symbol k is symbol k mod n_symbols of the stream,
+    so a framed run repeats its frame's kinds."""
+    detected = announcement.detected_indices
+    single = np.ones(len(detected), dtype=bool)
+    single[np.searchsorted(detected, announcement.ambiguous_indices)] = False
+    # d_b_seq ascending: a symbol clicked once differs from both neighbours
+    seq = record.d_b_seq
+    new = seq[1:] != seq[:-1]
+    lone = np.ones(len(seq), dtype=bool)
+    lone[1:] = new
+    lone[:-1] &= new
+    kept, bob_bits = detected[single], record.d_b_slot[lone]
+    kinds = stream.kinds[kept % stream.n_symbols]
+    # integer indices: a boolean mask this irregular gathers several times slower
+    bit = np.flatnonzero(kinds != DECOY)
+    return SiftedKeyPair(alice_bits=(kinds[bit] == BIT1).astype(np.int8),
+                         bob_bits=bob_bits[bit].astype(np.int8),
+                         kept_indices=kept[bit])
 
 
 def estimate_parameters(stats: MonitoringStats, params: ProtocolParams,
@@ -196,13 +207,15 @@ def run_protocol(config: OpticsConfig, n_symbols: int, seed: int,
     sift, estimate, distill. An abort is a result, not an exception."""
     sim = run_simulation(config, n_symbols, seed, attack)
     ann = announce(sim.record)
-    n_sifted = len(sift(sim.stream, ann, sim.record).kept_indices)
+    sifted = sift(sim.stream, ann, sim.record)
+    qber = estimate_qber(sifted.alice_bits, sifted.bob_bits)
     estimation = estimate_parameters(sim.stats, config.params,
                                      tolerance_sigmas, protocol, model)
-    if estimation.abort or n_sifted == 0:
+    n_sifted = len(sifted.kept_indices)
+    if estimation.abort or qber is None:
         distill = DistillationSummary(n_sifted=n_sifted, shrink_fraction=1.0,
                                       n_secret=0)
-    else:  # sim.qber counts the same sifted bits, so it is defined here
-        distill = distill_accounting(n_sifted, sim.qber.value, estimation.i_eve)
-    return ProtocolReport(sim=sim, announcement=ann, estimation=estimation,
-                          distill=distill)
+    else:
+        distill = distill_accounting(n_sifted, qber.value, estimation.i_eve)
+    return ProtocolReport(sim=sim, announcement=ann, sifted=sifted, qber=qber,
+                          estimation=estimation, distill=distill)

@@ -47,25 +47,11 @@ class Protocol(Enum):
     BB84_DECOY = "bb84-decoy"
     BB84_PLAIN = "bb84"
 
-    @classmethod
-    def parse(cls, name: str) -> "Protocol":
-        for p in cls:
-            if p.value == name:
-                return p
-        raise ValueError(f"unknown protocol {name!r} (use cow|bb84-decoy|bb84)")
-
 
 class PnsKind(Enum):
     ERROR_FREE = "error-free"
     DETECTABLE_AS_PRINTED = "printed"
     DETECTABLE_ALT = "alt"
-
-    @classmethod
-    def parse(cls, name: str) -> "PnsKind":
-        for k in cls:
-            if k.value == name:
-                return k
-        raise ValueError(f"unknown pns model {name!r} (use printed|alt|error-free)")
 
 
 @dataclass(frozen=True)
@@ -84,13 +70,6 @@ class PnsModel:
 class RateMode(Enum):
     EXACT = "exact"
     LINEARIZED = "linearized"
-
-    @classmethod
-    def parse(cls, name: str) -> "RateMode":
-        for m in cls:
-            if m.value == name:
-                return m
-        raise ValueError(f"unknown rate mode {name!r} (use exact|linearized)")
 
 
 @dataclass(frozen=True)
@@ -362,7 +341,8 @@ def secret_key_rate(params: ProtocolParams, protocol: Protocol = Protocol.COW,
     clamped max(0, .) that curves and optimizers use.
     """
     r_s = sifted_rate(params, mode)
-    q = qber(params, protocol, mode)
+    # a dead channel sifts nothing: its rates and QBER are all zero
+    q = qber(params, protocol, mode) if r_s > 0.0 else QberBreakdown(0.0, 0.0, 0.0)
     eve = eve_information(params, protocol, model)
     raw = r_s * (1.0 - binary_entropy(q.q_total) - eve.i_eve)
     return KeyRateResult(mu=params.mu, r_s=r_s, qber=q, eve=eve,

@@ -11,7 +11,7 @@ one, so detection costs O(clicks), not O(slots). There is no intra-slot jitter.
 One optical chain serves both the i.i.d. stream and the framed mode of
 cowsim.experiment: a stream is a single frame, and a framed run repeats one
 short frame many times. The chain returns click positions, which feed the one
-QBER estimator and the one monitoring tally.
+monitoring tally here and the one sift and QBER estimator of cowsim.protocol.
 """
 
 from __future__ import annotations
@@ -30,14 +30,12 @@ __all__ = [
     "MonitoringStats",
     "QberEstimate",
     "SimResult",
-    "UndefinedEstimateError",
     "generate_symbols",
     "propagate",
     "interferometer_outputs",
     "detect",
     "run_simulation",
     "simulate_stream",
-    "estimate_visibility",
     "estimate_qber",
 ]
 
@@ -54,12 +52,11 @@ _STAGE_M2 = 5
 _CHUNK = 1 << 16
 
 
-class UndefinedEstimateError(ValueError):
-    """An estimator denominator is empty."""
-
-
 def stage_rng(seed: int, stage: int) -> np.random.Generator:
-    """Counter-based substream: independent per (seed, stage)."""
+    """Counter-based substream: independent per (seed, stage). The seed is
+    one uint64 Philox key."""
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     bitgen = np.random.Philox(key=np.uint64(seed), counter=[0, 0, 0, np.uint64(stage)])
     return np.random.Generator(bitgen)
 
@@ -138,7 +135,9 @@ class DetectionRecord:
 
     Data-line entries index the two pulse slots of a symbol. Monitoring
     entries index interferometer output slots, of which there is one more
-    than pulses; the trailing slot maps to (n_symbols, 0).
+    than pulses; the trailing slot maps to (n_symbols, 0). Each list is in
+    ascending time, so d_b_seq is ascending and the clicks of one symbol are
+    neighbours.
     """
 
     d_b_seq: np.ndarray
@@ -161,12 +160,12 @@ class MonitoringStats:
     @property
     def v_10(self) -> float:
         """Bit1 -> bit0 boundary visibility; nan when the class has no clicks."""
-        return _visibility_or_nan(self.n_m1_10, self.n_m2_10)
+        return _visibility(self.n_m1_10, self.n_m2_10)
 
     @property
     def v_d(self) -> float:
         """Decoy visibility; nan when the class has no clicks."""
-        return _visibility_or_nan(self.n_m1_d, self.n_m2_d)
+        return _visibility(self.n_m1_d, self.n_m2_d)
 
 
 @dataclass(frozen=True)
@@ -186,7 +185,6 @@ class SimResult:
     n_bits: int
     empirical_r: float
     monitoring_rate_per_pulse: float
-    qber: QberEstimate | None
     attack_log: object | None = None
 
 
@@ -373,16 +371,10 @@ def _run_chain(config: OpticsConfig, stream: SymbolStream, seed: int,
     return clicks
 
 
-def _visibility_or_nan(n_m1: int, n_m2: int) -> float:
-    return estimate_visibility(n_m1, n_m2) if n_m1 + n_m2 > 0 else math.nan
-
-
-def estimate_visibility(n_m1: int, n_m2: int) -> float:
-    """Count-based visibility (n1 - n2) / (n1 + n2)."""
+def _visibility(n_m1: int, n_m2: int) -> float:
+    """Count-based visibility (n1 - n2) / (n1 + n2); nan without clicks."""
     total = n_m1 + n_m2
-    if total <= 0:
-        raise UndefinedEstimateError("no monitoring clicks in this class")
-    return (n_m1 - n_m2) / total
+    return (n_m1 - n_m2) / total if total else math.nan
 
 
 def visibility_stderr(n_m1: int, n_m2: int) -> float:
@@ -392,23 +384,13 @@ def visibility_stderr(n_m1: int, n_m2: int) -> float:
     return 2.0 * math.sqrt(p * (1.0 - p) / total)
 
 
-def estimate_qber(seq: np.ndarray, slot: np.ndarray,
-                  kind: np.ndarray) -> QberEstimate:
-    """Fraction of wrong-slot clicks among single-click bit symbols.
-
-    Takes the data-line click list, one entry per click: the symbol index,
-    the arrival slot (0 or 1) and the kind Alice sent. Decoys and symbols with
-    clicks in both slots are dropped, exactly as sifting drops them. Clicks
-    are already window-aligned because the model is slot-discrete. The
-    interval is a Wilson 95% interval.
-    """
-    _, inverse, counts = np.unique(seq, return_inverse=True, return_counts=True)
-    sifted = (counts[inverse] == 1) & (kind != DECOY)
-    n_sifted = int(np.count_nonzero(sifted))
+def estimate_qber(alice_bits: np.ndarray, bob_bits: np.ndarray) -> QberEstimate | None:
+    """Fraction of sifted bits on which Bob's arrival slot differs from
+    Alice's bit, with a Wilson 95% interval; None for an empty key."""
+    n_sifted = len(alice_bits)
     if n_sifted == 0:
-        raise UndefinedEstimateError("no sifted detections")
-    # the arrival slot is the bit: a click in the empty slot is an error
-    n_err = int(np.count_nonzero(sifted & (slot != (kind == BIT1))))
+        return None
+    n_err = int(np.count_nonzero(alice_bits != bob_bits))
     lo, hi = _wilson(n_err, n_sifted)
     return QberEstimate(value=n_err / n_sifted, lo=lo, hi=hi,
                         n_errors=n_err, n_sifted=n_sifted)
@@ -462,14 +444,9 @@ def simulate_stream(config: OpticsConfig, stream: SymbolStream, seed: int) -> Si
     n_nonempty = int(np.bincount(stream.shapes, minlength=len(stream.table))
                      @ np.count_nonzero(stream.table > 0.0, axis=1))
     monitoring_rate = (len(g1) + len(g2)) / n_nonempty if n_nonempty else 0.0
-    try:
-        qber_est = estimate_qber(record.d_b_seq, record.d_b_slot, kind)
-    except UndefinedEstimateError:
-        qber_est = None
-
     return SimResult(stream=stream, record=record, stats=stats, n_bits=n_bits,
                      empirical_r=empirical_r,
-                     monitoring_rate_per_pulse=monitoring_rate, qber=qber_est)
+                     monitoring_rate_per_pulse=monitoring_rate)
 
 
 def run_simulation(config: OpticsConfig, n_symbols: int, seed: int,

@@ -179,9 +179,8 @@ def test_criterion_5_qber_visibility_independence():
     for i, v in enumerate((0.8, 0.9, 1.0)):
         params = ProtocolParams(mu=0.5, loss_db=0.0, f=0.1, t_b=0.9, eta=0.1,
                                 p_d=1e-4, v=v)
-        sim = run_simulation(OpticsConfig(params=params), 1_000_000,
-                             seed=51 + i)
-        q = sim.qber
+        q = run_protocol(OpticsConfig(params=params), 1_000_000,
+                         seed=51 + i).qber
         counts[v] = (q.n_errors, q.n_sifted)
     zs = []
     for va, vb in ((0.8, 0.9), (0.9, 1.0), (0.8, 1.0)):
@@ -227,7 +226,7 @@ def test_criterion_7_protocol_pipeline():
                             p_d=0.0, v=1.0)
     rep = run_protocol(OpticsConfig(params=params), n, seed=3)
     assert not rep.estimation.abort
-    assert rep.sim.qber.value == 0.0
+    assert rep.qber.value == 0.0
 
     # bit-level identity of the sifted keys of the reported run
     pair = sift(rep.sim.stream, rep.announcement, rep.sim.record)

@@ -20,6 +20,7 @@ from cowsim import (
     eve_information,
     generate_symbols,
     predicted_signature,
+    run_protocol,
     run_simulation,
     xi,
 )
@@ -204,8 +205,8 @@ class TestDataLineSideEffects:
         # with the policy's slightly different click rates
         params = attack_params(p_d=1e-4)
         cfg = OpticsConfig(params=params, insertion_loss=0.0)
-        base = run_simulation(cfg, 500000, seed=29).qber
-        atk = run_simulation(cfg, 500000, seed=31, attack=ir(1.0)).qber
+        base = run_protocol(cfg, 500000, seed=29).qber
+        atk = run_protocol(cfg, 500000, seed=31, attack=ir(1.0)).qber
 
         def oracle(p_ir):
             p_un, p_att, _ = data_click_probs(params, p_ir)

@@ -1,15 +1,19 @@
 """Command-line interface: config handling, exit codes, output format,
 byte-level determinism."""
 
+import contextlib
+import io
 import subprocess
 import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cowsim.simulation
 from cowsim.cli import main
-from cowsim.config import ConfigError, RunConfig
+from cowsim.config import DEFAULTS, ConfigError, RunConfig
 
 
 def run_cli(*args):
@@ -240,6 +244,9 @@ class TestInputValidation:
         ("experiment", "frame_period_ns=nan"),
         ("experiment", "gate_ns=1e15"),
         ("experiment", "gate_ns=2000"),
+        ("simulate", "seed=-1"),
+        ("simulate", f"seed={2 ** 64}"),
+        ("experiment", "seed=-1"),
     ])
     def test_out_of_range_is_one_error_line(self, command, setting):
         code, out, err = run_cli(command, "--set", setting,
@@ -249,6 +256,50 @@ class TestInputValidation:
         assert err.startswith("cowsim: error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_tolerance_below_float_spacing_ends(self):
+        # the golden-section bracket cannot shrink below one ulp of mu*
+        proc = subprocess.run([sys.executable, "-m", "cowsim", "optimize",
+                               "--set", "refine_tolerance=1e-300"],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0 and proc.stderr == ""
+        header, rows = table(proc.stdout)
+        assert len(rows) == 1 and float(dict(zip(header, rows[0]))["mu_star"]) > 0.0
+
+
+# keys that size a run's arrays or loops, drawn small enough to stay cheap
+_BAD = st.sampled_from(["", "nan", "inf", "-1", "0", "abc"])
+_SIZING = {
+    "n_symbols": st.integers(-2, 3000).map(str) | _BAD,
+    "n_frames": st.integers(-2, 300).map(str) | _BAD,
+    "grid_points": st.integers(90, 300).map(str) | _BAD,
+    "gate_ns": st.floats(-1.0, 100.0).map(repr) | _BAD,
+    "pulse_period_ns": st.floats(0.1, 10.0).map(repr) | _BAD,
+}
+_TEXT = st.one_of(
+    st.sampled_from(["", "0", "1", "-1", "2", "0.5", "nan", "inf", "-inf", "1e-300",
+                     "1e300", "true", "no", "0,10", "1,0.9", "cow,bb84", "net",
+                     "intercept-resend", "pns-counting", "exact", "alt", "D0"]),
+    st.integers().map(str), st.floats().map(repr), st.text(max_size=8))
+_SETTING = st.sampled_from(sorted(DEFAULTS) + ["bogus"]).flatmap(
+    lambda key: st.tuples(st.just(key), _SIZING.get(key, _TEXT)))
+
+
+class TestAnySetting:
+    @settings(max_examples=300, deadline=None)
+    @given(command=st.sampled_from(["keyrate", "curve", "optimize", "simulate", "experiment"]),
+           settings_=st.lists(_SETTING, max_size=3))
+    def test_exits_0_1_or_2_without_traceback(self, command, settings_):
+        argv = [command, "--set=n_symbols=2000", "--set=n_frames=200", "--set=grid_points=100"]
+        argv += [f"--set={key}={value}" for key, value in settings_]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("cowsim: error: ")
+            assert err.getvalue().count("\n") == 1
 
 
 class TestDeterminism:

@@ -1,5 +1,7 @@
 """Optimizer and curve-generation tests, including a brute-force grid oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,15 @@ class TestOptimizeMu:
             OptimizationSpec(grid_points=10)
         with pytest.raises(ValueError):
             OptimizationSpec(refine_tolerance=2.0)
+
+    @pytest.mark.parametrize("loss_db", [0.0, 20.0])
+    def test_tolerance_below_float_spacing(self, loss_db):
+        # the bracket stops shrinking about one ulp from mu*: a finer
+        # tolerance ends there instead of looping forever
+        p = params(loss_db=loss_db, t_b=0.9)
+        fine = optimize_mu(p, spec=OptimizationSpec(refine_tolerance=1e-300)).mu_star
+        ref = optimize_mu(p, spec=OptimizationSpec(refine_tolerance=1e-15)).mu_star
+        assert abs(fine - ref) <= 4 * math.ulp(ref)
 
 
 class TestBruteForceAgreement:

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cowsim import (
     AbortReason,
@@ -16,9 +18,11 @@ from cowsim import (
     PnsModel,
     ProtocolParams,
     RateMode,
+    SiftedKeyPair,
     announce,
     distill_accounting,
     estimate_parameters,
+    estimate_qber,
     run_protocol,
     run_simulation,
     secret_key_rate,
@@ -100,6 +104,36 @@ class TestSift:
         pair = sift(stream, announce(record), record)
         assert list(pair.kept_indices) == [1]
 
+    @staticmethod
+    def dense_sift(stream, announcement, record):
+        """Per-symbol reference: a keep mask and Bob's slot for every symbol."""
+        keep_mask = np.zeros(stream.n_symbols, dtype=bool)
+        keep_mask[announcement.detected_indices] = True
+        keep_mask[announcement.ambiguous_indices] = False
+        keep_mask &= stream.kinds != DECOY
+        kept = np.nonzero(keep_mask)[0]
+        bob_slot = np.zeros(stream.n_symbols, dtype=np.int8)
+        bob_slot[record.d_b_seq] = record.d_b_slot
+        return SiftedKeyPair(alice_bits=(stream.kinds[kept] == BIT1).astype(np.int8),
+                             bob_bits=bob_slot[kept], kept_indices=kept)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kinds=st.lists(st.sampled_from([BIT0, BIT1, DECOY]), min_size=1, max_size=12),
+           n_frames=st.integers(1, 4), data=st.data())
+    def test_matches_dense_reference(self, kinds, n_frames, data):
+        # each symbol of each frame clicks in no slot, one slot or both
+        n_total = len(kinds) * n_frames
+        slots = data.draw(st.lists(st.sampled_from([(), (0,), (1,), (0, 1)]),
+                                   min_size=n_total, max_size=n_total))
+        seq = [k for k, s in enumerate(slots) for _ in s]
+        record = record_with(seq, [b for s in slots for b in s])
+        ann = announce(record)
+        pair = sift(stream_of(kinds), ann, record)
+        # symbol k of a framed run is symbol k mod n of its frame
+        ref = self.dense_sift(stream_of(kinds * n_frames), ann, record)
+        for name in ("alice_bits", "bob_bits", "kept_indices"):
+            np.testing.assert_array_equal(getattr(pair, name), getattr(ref, name))
+
 
 class TestEstimateParameters:
     def test_perfect_visibilities(self):
@@ -164,7 +198,7 @@ class TestRunProtocol:
         rep = run_protocol(OpticsConfig(params=p), 200000, seed=3)
         est, dist = rep.estimation, rep.distill
         assert not est.abort
-        assert rep.sim.qber.value == 0.0
+        assert rep.qber.value == 0.0
         assert est.v_10 == 1.0 and est.v_d == 1.0
         assert est.i_eve == pytest.approx(0.25)
         assert dist.n_secret == math.floor(dist.n_sifted * 0.75)
@@ -212,19 +246,21 @@ class TestRunProtocol:
         # assert_equal compares arrays by value and counts nan equal to nan
         np.testing.assert_equal(dataclasses.asdict(rep.sim.record),
                                 dataclasses.asdict(sim.record))
-        assert rep.sim.stats == sim.stats and rep.sim.qber == sim.qber
+        assert rep.sim.stats == sim.stats
         np.testing.assert_equal(dataclasses.asdict(rep.announcement),
                                 dataclasses.asdict(announce(sim.record)))
+        pair = sift(sim.stream, announce(sim.record), sim.record)
+        np.testing.assert_equal(dataclasses.asdict(rep.sifted), dataclasses.asdict(pair))
+        assert rep.qber == estimate_qber(pair.alice_bits, pair.bob_bits)
         est = estimate_parameters(rep.sim.stats, p, tolerance)
         np.testing.assert_equal(dataclasses.asdict(rep.estimation),
                                 dataclasses.asdict(est))
         assert est.abort == aborts
-        n_sifted = len(sift(rep.sim.stream, rep.announcement, rep.sim.record)
-                       .kept_indices)
+        n_sifted = len(pair.kept_indices)
         if est.abort:
             assert rep.distill == DistillationSummary(n_sifted, 1.0, 0)
         else:
-            assert rep.distill == distill_accounting(n_sifted, rep.sim.qber.value,
+            assert rep.distill == distill_accounting(n_sifted, rep.qber.value,
                                                      est.i_eve)
 
     @pytest.mark.parametrize("deadtime_ns, p_ir", [(0.0, 0.0), (3.0, 0.0),
@@ -232,15 +268,14 @@ class TestRunProtocol:
     def test_qber_counts_are_the_sifted_key(self, deadtime_ns, p_ir):
         # dark counts make errors and ambiguous symbols; deadtime and the
         # attack reshape which clicks survive
-        from cowsim import run_simulation
         p = params(mu=1.0, eta=0.5, p_d=2e-3)
         atk = AttackConfig(kind=AttackKind.INTERCEPT_RESEND, p_ir=p_ir)
-        sim = run_simulation(OpticsConfig(params=p, deadtime_ns=deadtime_ns),
-                             100000, seed=17, attack=atk)
-        pair = sift(sim.stream, announce(sim.record), sim.record)
-        q = sim.qber
+        rep = run_protocol(OpticsConfig(params=p, deadtime_ns=deadtime_ns),
+                           100000, seed=17, attack=atk)
+        q, pair = rep.qber, rep.sifted
+        assert np.all(np.diff(rep.sim.record.d_b_seq) >= 0)  # sift relies on it
         assert q.n_errors > 0
-        assert q.n_sifted == len(pair.alice_bits)
+        assert q.n_sifted == len(pair.kept_indices) == rep.distill.n_sifted
         assert q.n_errors == np.count_nonzero(pair.alice_bits != pair.bob_bits)
 
     def test_no_decoys_aborts_with_reason(self):

@@ -11,20 +11,20 @@ from cowsim import (
     AttackConfig,
     AttackKind,
     ExperimentConfig,
+    MonitoringStats,
     OpticsConfig,
     ProtocolParams,
     RateMode,
-    UndefinedEstimateError,
     counting_rate,
     detect,
     estimate_qber,
-    estimate_visibility,
     generate_symbols,
     interferometer_outputs,
     monitoring_rate,
     propagate,
     qber,
     run_experiment,
+    run_protocol,
     run_simulation,
 )
 from cowsim.attacks import apply_intercept_resend
@@ -362,8 +362,7 @@ class TestRunSimulation:
         counts = {}
         for i, v in enumerate((0.8, 0.9, 1.0)):
             p = params(v=v, p_d=1e-4)
-            sim = run_simulation(OpticsConfig(params=p), 300000, seed=100 + i)
-            q = sim.qber
+            q = run_protocol(OpticsConfig(params=p), 300000, seed=100 + i).qber
             counts[v] = (q.n_errors, q.n_sifted)
         pairs = [(0.8, 0.9), (0.9, 1.0), (0.8, 1.0)]
         for va, vb in pairs:
@@ -428,23 +427,21 @@ class TestDeadtime:
 
 class TestEstimators:
     def test_visibility_values(self):
-        assert estimate_visibility(100, 0) == 1.0
-        assert estimate_visibility(50, 50) == 0.0
-        assert estimate_visibility(96, 4) == pytest.approx(0.92)
+        for n_m1, n_m2, v in ((100, 0, 1.0), (50, 50, 0.0), (96, 4, pytest.approx(0.92))):
+            stats = MonitoringStats(n_m1, n_m2, n_m1, n_m2)
+            assert stats.v_10 == v and stats.v_d == v
 
     def test_visibility_undefined(self):
-        with pytest.raises(UndefinedEstimateError):
-            estimate_visibility(0, 0)
+        assert math.isnan(MonitoringStats(0, 0, 5, 1).v_10)
+        assert math.isnan(MonitoringStats(5, 1, 0, 0).v_d)
 
     def test_qber_noiseless_zero(self):
         cfg = OpticsConfig(params=params(p_d=0.0))
-        sim = run_simulation(cfg, 50000, seed=8)
-        assert sim.qber.value == 0.0
+        assert run_protocol(cfg, 50000, seed=8).qber.value == 0.0
 
     def test_qber_matches_dark_count_formula(self):
         p = params()
-        sim = run_simulation(OpticsConfig(params=p), 1_000_000, seed=3)
-        est = sim.qber
+        est = run_protocol(OpticsConfig(params=p), 1_000_000, seed=3).qber
         q_ref = qber(p).q_det
         sigma = math.sqrt(q_ref * (1 - q_ref) / est.n_sifted)
         assert abs(est.value - q_ref) < 3 * sigma
@@ -463,13 +460,8 @@ class TestEstimators:
                 assert 0.0 <= lo <= k / n <= hi <= 1.0
 
     def test_qber_all_flipped_synthetic(self):
-        kinds = np.array([BIT0, BIT1, BIT0], dtype=np.int8)
-        seq = np.array([0, 1, 2])
-        est = estimate_qber(seq, np.array([1, 0, 1]), kinds[seq])
+        est = estimate_qber(np.array([0, 1, 0]), np.array([1, 0, 1]))
         assert est.value == 1.0
 
     def test_qber_undefined_without_detections(self):
-        kinds = np.array([BIT0], dtype=np.int8)
-        seq = np.empty(0, int)
-        with pytest.raises(UndefinedEstimateError):
-            estimate_qber(seq, np.empty(0, int), kinds[seq])
+        assert estimate_qber(np.empty(0, int), np.empty(0, int)) is None
