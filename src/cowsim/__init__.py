@@ -12,7 +12,6 @@ from .rates import (
     QberBreakdown,
     EveInfo,
     KeyRateResult,
-    UndefinedRateError,
     binary_entropy,
     transmission,
     counting_rate,

@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .rates import PnsKind, PnsModel, Protocol, ProtocolParams, pns_fraction, xi
+from .rates import PnsModel, Protocol, ProtocolParams, eve_information, xi
 from .simulation import BIT0, BIT1, DECOY, SymbolStream, _uniform_chunks
 
 __all__ = [
@@ -143,16 +143,14 @@ def predicted_signature(config: AttackConfig, params: ProtocolParams,
     """Closed-form (expected visibility, expected Eve information) for an
     attack configuration; the algebraic inverse of the information estimate
     performed from an observed visibility."""
-    if protocol is Protocol.BB84_PLAIN:
-        r = pns_fraction(params, PnsModel(PnsKind.ERROR_FREE, model.clamp))
-    else:
-        r = pns_fraction(params, model)
+    r = eve_information(params, protocol, model).r
     if config.kind is AttackKind.INTERCEPT_RESEND and config.p_ir > 0.0:
+        # an unclamped r above 1 leaves Eve nothing to intercept
         if protocol is Protocol.COW:
-            info = (1.0 - r) * config.p_ir
+            info = max(1.0 - r, 0.0) * config.p_ir
             v = 1.0 - info * xi(params.mu, params.t)
         else:
-            info = (1.0 - r) * config.p_ir / 2.0
+            info = max(1.0 - r, 0.0) * config.p_ir / 2.0
             v = 1.0 - info
         return v, r + info
     return 1.0, r

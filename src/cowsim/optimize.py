@@ -19,7 +19,7 @@ from .rates import (
     Protocol,
     ProtocolParams,
     RateMode,
-    _rsk_arrays,
+    _keyrate,
     secret_key_rate,
 )
 
@@ -74,16 +74,6 @@ class RobustnessResult:
     bb84_decoy_ratio: float
 
 
-def _objective(params: ProtocolParams, protocol: Protocol, model: PnsModel,
-               mode: RateMode):
-    def f(mu):
-        _, clamped = _rsk_arrays(mu, params.t, params.t_b, params.eta,
-                                 params.p_d, params.f, params.v,
-                                 protocol, model, mode)
-        return clamped
-    return f
-
-
 def optimize_mu(params: ProtocolParams, protocol: Protocol = Protocol.COW,
                 model: PnsModel = PnsModel(),
                 spec: OptimizationSpec = OptimizationSpec(),
@@ -94,7 +84,9 @@ def optimize_mu(params: ProtocolParams, protocol: Protocol = Protocol.COW,
     neighborhood. Ties break toward smaller mu (fewer multi-photon pulses).
     Deterministic for a fixed spec.
     """
-    f = _objective(params, protocol, model, mode)
+    def f(mu):
+        return np.maximum(_keyrate(params, mu, protocol, model, mode)[-1], 0.0)
+
     grid = np.linspace(spec.mu_min, spec.mu_max, spec.grid_points)
     vals = f(grid)
     if not np.any(vals > 0.0):

@@ -1,8 +1,11 @@
 """Closed-form rate and security analysis for time-bin QKD with weak coherent pulses.
 
-All functions are pure and side-effect free. The scalar API wraps a set of
-numpy-compatible kernels so that the optimizer can evaluate whole mu grids in
-one shot; both paths share the same arithmetic.
+All functions are pure and side-effect free. One numpy kernel, `_keyrate`,
+composes R_sk = R_s (1 - h(Q) - I_Eve) at a mean photon number that may be an
+array: `secret_key_rate`, `sifted_rate` and `qber` are its float view at
+params.mu, and the optimizer scores whole mu grids with it. The kernel also
+decides the model's domain: the linearized counting rate mu t t_B eta may not
+exceed 1, and a dead channel (R_s = 0) has an all-zero QBER.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ __all__ = [
     "QberBreakdown",
     "EveInfo",
     "KeyRateResult",
-    "UndefinedRateError",
     "binary_entropy",
     "transmission",
     "counting_rate",
@@ -34,12 +36,6 @@ __all__ = [
     "eve_information",
     "secret_key_rate",
 ]
-
-LN2 = math.log(2.0)
-
-
-class UndefinedRateError(ValueError):
-    """Raised when a rate expression has a vanishing denominator."""
 
 
 class Protocol(Enum):
@@ -165,30 +161,16 @@ def _entropy(p):
     return np.where(inner, h, 0.0)
 
 
-def _counting(mu, t, t_b, eta, mode: RateMode):
-    x = mu * t * t_b * eta
+def _counting(mu, params: ProtocolParams, mode: RateMode):
+    x = mu * params.t * params.t_b * params.eta
     if mode is RateMode.EXACT:
         return -np.expm1(-x)
+    if np.any(x > 1.0):
+        # a probability above 1 would make the dark-count QBER negative
+        raise ValueError(
+            f"mu = {np.max(mu):.9g} puts the linearized counting rate mu t t_B eta "
+            f"at {np.max(x):.9g}, above 1; lower mu or set rate_mode=exact")
     return x
-
-
-def _sifted(mu, t, t_b, eta, p_d, f, mode: RateMode):
-    r = _counting(mu, t, t_b, eta, mode)
-    return (r + 2.0 * p_d * (1.0 - r)) * (1.0 - f)
-
-
-def _qber_parts(mu, t, t_b, eta, p_d, f, v, protocol: Protocol, mode: RateMode):
-    r = np.asarray(_counting(mu, t, t_b, eta, mode), dtype=float)
-    r_s = np.asarray(_sifted(mu, t, t_b, eta, p_d, f, mode), dtype=float)
-    p_s = 1.0 - f
-    defined = r_s > 0.0
-    safe = np.where(defined, r_s, 1.0)
-    q_det = np.where(defined, (1.0 - r) * p_d * p_s / safe, np.nan)
-    if protocol is Protocol.COW:
-        q_opt = np.zeros_like(q_det)
-    else:
-        q_opt = np.where(defined, r * (1.0 - v) / 2.0 * p_s / safe, np.nan)
-    return q_opt, q_det
 
 
 def _xi(mu_t):
@@ -200,32 +182,38 @@ def _pns_r(mu, t, model: PnsModel):
     if model.kind is PnsKind.ERROR_FREE:
         r = mu * (1.0 - t)
     elif model.kind is PnsKind.DETECTABLE_AS_PRINTED:
-        r = mu / (2.0 * t)
+        with np.errstate(over="ignore"):
+            r = mu / (2.0 * t)
     else:
         r = mu * t / 2.0
     if model.clamp:
-        r = np.clip(r, 0.0, 1.0)
+        return np.clip(r, 0.0, 1.0)
+    if not np.all(np.isfinite(r)):
+        # an infinite r would turn Eve's information into inf or nan
+        raise ValueError(f"the unclamped PNS fraction mu/(2t) overflows at "
+                         f"mu = {np.max(mu):.9g}, t = {t:.9g}; set pns_clamp=true")
     return r
 
 
 def _eve(mu, t, v, protocol: Protocol, model: PnsModel):
     """Return (r, p_ir, i_ir, i_eve, feasible) as numpy arrays."""
     if protocol is Protocol.BB84_PLAIN:
-        r = _pns_r(mu, t, PnsModel(PnsKind.ERROR_FREE, model.clamp))
-    else:
-        r = _pns_r(mu, t, model)
-    r = np.asarray(r, dtype=float)
+        # without decoy states every multi-photon pulse leaks for free
+        model = PnsModel(PnsKind.ERROR_FREE, model.clamp)
+    r = np.asarray(_pns_r(mu, t, model), dtype=float)
     if protocol is Protocol.COW:
-        # 1 - V = I xi, and the IR is in the time basis: I = (1-r) p_ir
-        i_ir_needed = (1.0 - v) / _xi(mu * t)
+        # 1 - V = I xi, and the IR is in the time basis: I = (1-r) p_ir. xi
+        # underflows to 0 above mu t of about 745: V = 1 still needs no IR,
+        # and any deficit there is infeasible
+        with np.errstate(divide="ignore"):
+            i_ir_needed = (1.0 - v) / _xi(mu * t) if v < 1.0 else np.zeros_like(r)
         scale = 1.0
     else:
         # interferometric IR: error (1-r) p_ir / 4, information (1-r) p_ir / 2
         i_ir_needed = np.full_like(r, 1.0 - v)
         scale = 2.0
     safe = np.where(r < 1.0, 1.0 - r, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p_ir_needed = np.where(r < 1.0, scale * i_ir_needed / safe, np.inf)
+    p_ir_needed = np.where(r < 1.0, scale * i_ir_needed / safe, np.inf)
     p_ir_needed = np.where(i_ir_needed == 0.0, 0.0, p_ir_needed)
     feasible = p_ir_needed <= 1.0
     i_ir = np.where(feasible, i_ir_needed, 1.0 - r)
@@ -234,18 +222,27 @@ def _eve(mu, t, v, protocol: Protocol, model: PnsModel):
     return r, p_ir, i_ir, i_eve, feasible
 
 
-def _rsk_arrays(mu, t, t_b, eta, p_d, f, v, protocol: Protocol, model: PnsModel, mode: RateMode):
-    """Clamped and raw secret-key rate over a mu array; NaN-free clamped output."""
-    mu = np.asarray(mu, dtype=float)
-    r_s = _sifted(mu, t, t_b, eta, p_d, f, mode)
-    q_opt, q_det = _qber_parts(mu, t, t_b, eta, p_d, f, v, protocol, mode)
-    q = q_opt + q_det
-    _, _, _, i_eve, _ = _eve(mu, t, v, protocol, model)
-    with np.errstate(invalid="ignore"):
-        raw = r_s * (1.0 - _entropy(np.where(np.isnan(q), 0.0, np.clip(q, 0.0, 1.0))) - i_eve)
-    raw = np.where(np.isnan(q), np.nan, raw)
-    clamped = np.where(np.isnan(raw), 0.0, np.maximum(raw, 0.0))
-    return raw, clamped
+def _keyrate(params: ProtocolParams, mu, protocol: Protocol, model: PnsModel,
+             mode: RateMode):
+    """R_sk = R_s (1 - h(Q) - I_Eve) and its terms at mean photon number mu.
+
+    mu may be an array; every other input is read from params. Returns
+    (r_s, q_opt, q_det, eve, raw) with eve the (r, p_ir, i_ir, i_eve,
+    feasible) of _eve and raw the unclamped rate.
+    """
+    r = _counting(mu, params, mode)
+    p_s = 1.0 - params.f
+    r_s = (r + 2.0 * params.p_d * (1.0 - r)) * p_s
+    # a dead channel sifts nothing: its QBER parts are zero
+    safe = np.where(r_s > 0.0, r_s, np.inf)
+    q_det = (1.0 - r) * params.p_d * p_s / safe
+    if protocol is Protocol.COW:
+        q_opt = np.zeros_like(q_det)
+    else:
+        q_opt = r * (1.0 - params.v) / 2.0 * p_s / safe
+    eve = _eve(mu, params.t, params.v, protocol, model)
+    raw = r_s * (1.0 - _entropy(q_opt + q_det) - eve[3])
+    return r_s, q_opt, q_det, eve, raw
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +267,7 @@ def counting_rate(params: ProtocolParams, mode: RateMode = RateMode.EXACT) -> fl
     EXACT is the Poissonian 1 - exp(-mu t t_B eta); LINEARIZED is the product
     mu t t_B eta used throughout the rate analysis.
     """
-    return float(_counting(params.mu, params.t, params.t_b, params.eta, mode))
+    return float(_counting(params.mu, params, mode))
 
 
 def monitoring_rate(params: ProtocolParams) -> float:
@@ -285,8 +282,7 @@ def sifted_rate(params: ProtocolParams,
     The same expression holds for every protocol variant here: the decoy
     fraction f plays the role of the rarely-used basis, so p_s = 1 - f.
     """
-    return float(_sifted(params.mu, params.t, params.t_b, params.eta,
-                         params.p_d, params.f, mode))
+    return secret_key_rate(params, mode=mode).r_s
 
 
 def qber(params: ProtocolParams, protocol: Protocol = Protocol.COW,
@@ -295,14 +291,9 @@ def qber(params: ProtocolParams, protocol: Protocol = Protocol.COW,
 
     The arrival-time measurement is interference free, so the optical part is
     identically zero for the time-bin protocol and only the BB84 variants pick
-    up R (1-V)/2.
+    up R (1-V)/2. A dead channel (zero sifted rate) has all parts zero.
     """
-    q_opt, q_det = _qber_parts(params.mu, params.t, params.t_b, params.eta,
-                               params.p_d, params.f, params.v, protocol, mode)
-    q_opt, q_det = float(q_opt), float(q_det)
-    if math.isnan(q_det):
-        raise UndefinedRateError("sifted rate is zero; QBER undefined")
-    return QberBreakdown(q_total=q_opt + q_det, q_opt=q_opt, q_det=q_det)
+    return secret_key_rate(params, protocol, mode=mode).qber
 
 
 def xi(mu: float, t: float) -> float:
@@ -318,6 +309,12 @@ def pns_fraction(params: ProtocolParams, model: PnsModel) -> float:
     return float(_pns_r(params.mu, params.t, model))
 
 
+def _eve_info(eve) -> EveInfo:
+    r, p_ir, i_ir, i_eve, feasible = eve
+    return EveInfo(r=float(r), p_ir=float(p_ir), i_ir=float(i_ir),
+                   i_eve=float(i_eve), feasible=bool(feasible))
+
+
 def eve_information(params: ProtocolParams, protocol: Protocol = Protocol.COW,
                     model: PnsModel = PnsModel()) -> EveInfo:
     """Eve's total information fraction r + I for the observed visibility.
@@ -327,9 +324,7 @@ def eve_information(params: ProtocolParams, protocol: Protocol = Protocol.COW,
     information and flagged infeasible instead of raising, so optimizers can
     traverse the region.
     """
-    r, p_ir, i_ir, i_eve, feasible = _eve(params.mu, params.t, params.v, protocol, model)
-    return EveInfo(r=float(r), p_ir=float(p_ir), i_ir=float(i_ir),
-                   i_eve=float(i_eve), feasible=bool(feasible))
+    return _eve_info(_eve(params.mu, params.t, params.v, protocol, model))
 
 
 def secret_key_rate(params: ProtocolParams, protocol: Protocol = Protocol.COW,
@@ -340,10 +335,9 @@ def secret_key_rate(params: ProtocolParams, protocol: Protocol = Protocol.COW,
     r_sk_raw keeps the possibly negative value for diagnostics; r_sk is the
     clamped max(0, .) that curves and optimizers use.
     """
-    r_s = sifted_rate(params, mode)
-    # a dead channel sifts nothing: its rates and QBER are all zero
-    q = qber(params, protocol, mode) if r_s > 0.0 else QberBreakdown(0.0, 0.0, 0.0)
-    eve = eve_information(params, protocol, model)
-    raw = r_s * (1.0 - binary_entropy(q.q_total) - eve.i_eve)
-    return KeyRateResult(mu=params.mu, r_s=r_s, qber=q, eve=eve,
-                         r_sk_raw=raw, r_sk=max(0.0, raw))
+    r_s, q_opt, q_det, eve, raw = _keyrate(params, params.mu, protocol, model, mode)
+    q_opt, q_det, raw = float(q_opt), float(q_det), float(raw)
+    return KeyRateResult(mu=params.mu, r_s=float(r_s),
+                         qber=QberBreakdown(q_total=q_opt + q_det, q_opt=q_opt,
+                                            q_det=q_det),
+                         eve=_eve_info(eve), r_sk_raw=raw, r_sk=max(0.0, raw))

@@ -257,6 +257,19 @@ class TestInputValidation:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("args", [
+        ("keyrate", "--set", "mu=12"),
+        ("optimize", "--set", "mu_max=20", "--pns-model", "error-free"),
+        ("curve", "--set", "mu_max=20", "--pns-model", "error-free"),
+    ])
+    def test_linearized_domain_is_one_error_line(self, args):
+        # mu t t_B eta above 1 leaves the linearized model, for one mu and
+        # for an optimizer's grid alike
+        code, out, err = run_cli(*args)
+        assert code == 1 and out == ""
+        assert err.startswith("cowsim: error: mu = ") and err.count("\n") == 1
+        assert "rate_mode" in err and "Traceback" not in err
+
     def test_tolerance_below_float_spacing_ends(self):
         # the golden-section bracket cannot shrink below one ulp of mu*
         proc = subprocess.run([sys.executable, "-m", "cowsim", "optimize",

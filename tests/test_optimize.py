@@ -1,6 +1,7 @@
 """Optimizer and curve-generation tests, including a brute-force grid oracle."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from cowsim import (
     sweep_loss,
     visibility_robustness,
 )
-from cowsim.rates import _rsk_arrays
+from cowsim.rates import _keyrate, secret_key_rate
 
 
 def params(mu=0.5, **over):
@@ -98,11 +99,14 @@ class TestBruteForceAgreement:
             protocol = protocols[int(rng.integers(len(protocols)))]
             model = PnsModel(kinds[int(rng.integers(len(kinds)))])
             res = optimize_mu(p, protocol, model, spec)
-            _, clamped = _rsk_arrays(dense, p.t, p.t_b, p.eta, p.p_d, p.f,
-                                     p.v, protocol, model, RateMode.LINEARIZED)
-            brute = float(np.max(clamped))
+            raw = _keyrate(p, dense, protocol, model, RateMode.LINEARIZED)[-1]
+            brute = float(np.max(np.maximum(raw, 0.0)))
             scale = max(brute, 1e-30)
             assert abs(res.keyrate.r_sk - brute) <= 1e-9 * scale
+            # the reported row is the same kernel's value, bit for bit
+            for k in (0, len(dense) // 3, int(np.argmax(raw))):
+                m = float(dense[k])
+                assert secret_key_rate(replace(p, mu=m), protocol, model).r_sk_raw == raw[k]
 
 
 class TestSweepLoss:

@@ -4,23 +4,31 @@ High-precision expected values were evaluated independently with mpmath
 (40 digits) before the implementation and frozen here.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cowsim import (
+    AttackConfig,
+    AttackKind,
+    OptimizationSpec,
     PnsKind,
     PnsModel,
     Protocol,
     ProtocolParams,
+    QberBreakdown,
     RateMode,
-    UndefinedRateError,
     binary_entropy,
     counting_rate,
     eve_information,
     monitoring_rate,
+    optimize_mu,
     pns_fraction,
+    predicted_signature,
     qber,
     secret_key_rate,
     sifted_rate,
@@ -182,8 +190,10 @@ class TestQber:
             assert q.q_opt + q.q_det == pytest.approx(q.q_total, abs=1e-12)
 
     def test_undefined(self):
-        with pytest.raises(UndefinedRateError):
-            qber(fig2_params(mu=0.0, p_d=0.0), Protocol.COW)
+        # a dead channel sifts nothing, so its QBER breakdown is all zero
+        for proto in Protocol:
+            q = qber(fig2_params(mu=0.0, p_d=0.0, v=0.9), proto)
+            assert q == QberBreakdown(q_total=0.0, q_opt=0.0, q_det=0.0)
 
 
 class TestXi:
@@ -219,6 +229,17 @@ class TestPnsFraction:
     def test_alt(self):
         p = fig2_params(loss_db=10.0)
         assert pns_fraction(p, PnsModel(PnsKind.DETECTABLE_ALT)) == pytest.approx(0.025, rel=1e-9)
+
+    def test_unclamped_overflow_is_an_error(self):
+        # at t = 1e-320 mu/(2t) overflows: clamped it is 1, unclamped an error
+        # rather than an infinite or nan I_Eve
+        p = fig2_params(loss_db=3200.0)
+        assert pns_fraction(p, PnsModel(PnsKind.DETECTABLE_AS_PRINTED)) == 1.0
+        unclamped = PnsModel(PnsKind.DETECTABLE_AS_PRINTED, clamp=False)
+        for call in (lambda: pns_fraction(p, unclamped),
+                     lambda: secret_key_rate(replace(p, v=0.9), Protocol.COW, unclamped)):
+            with pytest.raises(ValueError, match="pns_clamp"):
+                call()
 
 
 class TestEveInformation:
@@ -310,3 +331,86 @@ class TestSecretKeyRate:
             rates_v = [secret_key_rate(replace(base, v=v), proto, PnsModel()).r_sk
                        for v in (1.0, 0.95, 0.9, 0.85)]
             assert all(a >= b for a, b in zip(rates_v, rates_v[1:]))
+
+    def test_xi_underflow_in_exact_mode(self):
+        # at mu t = 1000 xi underflows to 0: V = 1 still needs no
+        # intercept-resend, and any visibility deficit is infeasible
+        p = fig2_params(mu=1000.0, v=1.0)
+        model = PnsModel(PnsKind.ERROR_FREE)  # r = 0 at t = 1
+        for proto in Protocol:
+            res = secret_key_rate(p, proto, model, RateMode.EXACT)
+            assert res.eve.feasible and res.eve.p_ir == 0.0 and res.eve.i_eve == 0.0
+            assert res.r_sk == res.r_s > 0.0
+        res = secret_key_rate(replace(p, v=0.99), Protocol.COW, model, RateMode.EXACT)
+        assert not res.eve.feasible and res.eve.p_ir == 1.0 and res.eve.i_eve == 1.0
+        assert res.r_sk == 0.0
+
+    def test_linearized_domain_names_mu_and_mode(self):
+        # mu t t_B eta = 1.2 > 1: a probability above 1 would make q_det < 0
+        p = fig2_params(mu=12.0)
+        for call in (lambda: secret_key_rate(p), lambda: sifted_rate(p),
+                     lambda: qber(p, Protocol.BB84_DECOY)):
+            with pytest.raises(ValueError, match="mu = 12 .*rate_mode"):
+                call()
+        assert secret_key_rate(p, mode=RateMode.EXACT).r_s > 0.0
+        assert secret_key_rate(fig2_params(mu=10.0)).r_s == pytest.approx(0.9)
+
+
+@st.composite
+def analysis_inputs(draw):
+    """Random parameters, protocol, PNS model and rate mode, with mu inside
+    the model's domain (mu t t_B eta <= 1 in the linearized mode)."""
+    # no subnormal floats: a subnormal p_d rounds q_det up to as much as 1,
+    # a known fault of the QBER arithmetic recorded in CHANGES.md
+    num = lambda lo, hi: st.floats(lo, hi, allow_subnormal=False)
+    mode = draw(st.sampled_from(list(RateMode)))
+    p = ProtocolParams(mu=draw(num(0.0, 50.0)), loss_db=draw(num(0.0, 100.0)),
+                       f=draw(num(0.0, 0.99)), t_b=draw(num(1e-3, 1.0)),
+                       eta=draw(num(0.0, 1.0)), p_d=draw(num(0.0, 0.5)),
+                       v=draw(num(0.0, 1.0)))
+    assume(mode is RateMode.EXACT or p.mu * p.t * p.t_b * p.eta <= 1.0)
+    model = PnsModel(draw(st.sampled_from(list(PnsKind))), draw(st.booleans()))
+    return p, draw(st.sampled_from(list(Protocol))), model, mode
+
+
+class TestProperties:
+    @settings(max_examples=500, deadline=None)
+    @given(analysis_inputs())
+    def test_rates_bounded(self, inputs):
+        p, proto, model, mode = inputs
+        res = secret_key_rate(p, proto, model, mode)
+        assert 0.0 <= res.r_sk <= res.r_s
+        # q_opt + q_det is exactly 1/2 at V = 0 for BB84, and the sum of the
+        # two rounded quotients may land one ulp above it
+        assert 0.0 <= res.qber.q_total <= 0.5 + math.ulp(0.5)
+
+    @settings(max_examples=500, deadline=None)
+    @given(analysis_inputs(), st.floats(0.0, 1.0))
+    def test_signature_inverts_information(self, inputs, p_ir):
+        p, proto, model, _ = inputs
+        v_pred, i_pred = predicted_signature(
+            AttackConfig(AttackKind.INTERCEPT_RESEND, p_ir), p, proto, model)
+        e = eve_information(replace(p, v=v_pred), proto, model)
+        assume(e.feasible)
+        # v = 1 - x (1 - r) p_ir with x = xi (COW) or 1/2 (BB84): rounding v
+        # costs about eps / x in i_eve and eps / k in p_ir, k = x (1 - r),
+        # and nothing of the attack is left in v at k = 0 (r = 1, or xi
+        # underflowed)
+        x = xi(p.mu, p.t) if proto is Protocol.COW else 0.5
+        eps = 8.0 * math.ulp(1.0)
+        if x > 0.0:
+            assert abs(e.i_eve - i_pred) <= 1e-12 + eps / x
+        k = x * (1.0 - e.r)
+        if k > 0.0:
+            assert abs(e.p_ir - p_ir) <= 1e-9 + eps / k
+
+    @settings(max_examples=100, deadline=None)
+    @given(analysis_inputs(), st.floats(0.0, 30.0, allow_subnormal=False))
+    def test_optimum_not_increasing_with_loss(self, inputs, extra_db):
+        # mu_max = 1 keeps every grid point inside the linearized domain
+        p, proto, model, mode = inputs
+        spec = OptimizationSpec(grid_points=200)
+        near = optimize_mu(p, proto, model, spec, mode).keyrate.r_sk
+        far = optimize_mu(replace(p, loss_db=p.loss_db + extra_db), proto, model,
+                          spec, mode).keyrate.r_sk
+        assert far <= near * (1.0 + 1e-9)
