@@ -152,5 +152,5 @@ def predicted_signature(config: AttackConfig, params: ProtocolParams,
         else:
             info = max(1.0 - r, 0.0) * config.p_ir / 2.0
             v = 1.0 - info
-        return v, r + info
-    return 1.0, r
+        return v, min(r + info, 1.0)
+    return 1.0, min(r, 1.0)

@@ -119,10 +119,8 @@ def cmd_simulate(cfg: RunConfig, out_path, dump_events=None) -> int:
         ev = _metadata(cfg, "simulate-events")
         ev.append("detector,sequence_index,slot_index")
         rec = sim.record
-        for name, seqs, slots in (("D_B", rec.d_b_seq, rec.d_b_slot),
-                                  ("D_M1", rec.d_m1_seq, rec.d_m1_slot),
-                                  ("D_M2", rec.d_m2_seq, rec.d_m2_slot)):
-            for s, sl in zip(seqs.tolist(), slots.tolist()):
+        for name, g in (("D_B", rec.d_b), ("D_M1", rec.d_m1), ("D_M2", rec.d_m2)):
+            for s, sl in zip((g >> 1).tolist(), (g & 1).tolist()):
                 ev.append(f"{name},{s},{sl}")
         _emit(dump_events, ev)
     return 2 if est.abort else 0

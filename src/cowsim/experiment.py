@@ -10,12 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import announce, sift
+from .protocol import sift
 from .simulation import (
     BIT0,
     BIT1,
     DECOY,
-    DetectionRecord,
     MonitoringStats,
     OpticsConfig,
     QberEstimate,
@@ -88,9 +87,9 @@ def run_experiment(config: ExperimentConfig, seed: int) -> ExperimentResult:
                          config.params.mu)
     n_pulses = 2 * frame.n_symbols
     n_slots = max(int(config.gate_ns // tau) + 1, n_pulses + 1)
-    clicks = dict(zip(DETECTORS, _run_chain(
-        config, frame, seed, (_STAGE_EXP_DATA, _STAGE_EXP_M1, _STAGE_EXP_M2),
-        config.n_frames, n_slots, config.frame_period_ns)))
+    chain = _run_chain(config, frame, seed, (_STAGE_EXP_DATA, _STAGE_EXP_M1, _STAGE_EXP_M2),
+                       config.n_frames, n_slots, config.frame_period_ns)
+    clicks = {name: np.divmod(g, n_slots) for name, g in zip(DETECTORS, chain)}
 
     counts = {name: np.bincount(ss, minlength=n_slots) for name, (_, ss) in clicks.items()}
     duration_s = config.n_frames * config.frame_period_ns * 1e-9
@@ -98,12 +97,8 @@ def run_experiment(config: ExperimentConfig, seed: int) -> ExperimentResult:
 
     ff, ss = clicks["D_B"]
     in_train = ss < n_pulses  # later gated slots hold dark counts only
-    ff, ss = ff[in_train], ss[in_train]
-    # sifted like a stream: symbol k of frame f is symbol f * n + k
-    no_clicks = np.empty(0, dtype=np.int64)  # the data QBER needs no monitor clicks
-    record = DetectionRecord(ff * frame.n_symbols + ss // 2, ss % 2,
-                             no_clicks, no_clicks, no_clicks, no_clicks)
-    key = sift(frame, announce(record), record)
+    # sifted like a stream: pulse s of frame f is pulse f * n_pulses + s
+    key = sift(frame, (ff * n_pulses + ss)[in_train])
     qber = estimate_qber(key.alice_bits, key.bob_bits)
     return ExperimentResult(
         slot_times_ns=np.arange(n_slots) * tau,

@@ -52,8 +52,8 @@ __all__ = [
 @dataclass(frozen=True)
 class Announcement:
     """Bob's public message: which symbols produced data-line detections and
-    when D_M2 fired. Arrival slots are withheld because the slot is the bit;
-    monitoring times carry no bit information."""
+    when D_M2 fired, as its monitor output slots. Arrival slots are withheld
+    because the slot is the bit; monitoring times carry no bit information."""
 
     detected_indices: np.ndarray
     ambiguous_indices: np.ndarray
@@ -117,31 +117,26 @@ def announce(record: DetectionRecord) -> Announcement:
     A symbol whose both slots clicked (a dark count in the empty slot) is
     announced once and flagged ambiguous.
     """
-    detected, counts = np.unique(record.d_b_seq, return_counts=True)
-    ambiguous = detected[counts > 1]
-    m2_times = 2 * record.d_m2_seq + record.d_m2_slot
+    detected, counts = np.unique(record.d_b >> 1, return_counts=True)
     return Announcement(detected_indices=detected,
-                        ambiguous_indices=ambiguous,
-                        m2_times=m2_times)
+                        ambiguous_indices=detected[counts > 1],
+                        m2_times=record.d_m2)
 
 
-def sift(stream: SymbolStream, announcement: Announcement,
-         record: DetectionRecord) -> SiftedKeyPair:
-    """Drop decoy detections and ambiguous symbols; pair Alice's sent bits
-    with Bob's arrival-slot bits for the surviving indices.
+def sift(stream: SymbolStream, d_b: np.ndarray) -> SiftedKeyPair:
+    """Pair Alice's sent bits with Bob's arrival-slot bits for the symbols
+    whose data line clicked in one slot only, dropping decoys.
 
-    Reads only the clicks. Symbol k is symbol k mod n_symbols of the stream,
-    so a framed run repeats its frame's kinds."""
-    detected = announcement.detected_indices
-    single = np.ones(len(detected), dtype=bool)
-    single[np.searchsorted(detected, announcement.ambiguous_indices)] = False
-    # d_b_seq ascending: a symbol clicked once differs from both neighbours
-    seq = record.d_b_seq
+    d_b holds ascending data-line slots, 2k + bit for symbol k. Symbol k is
+    symbol k mod n_symbols of the stream, so a framed run repeats its frame's
+    kinds."""
+    # ascending: a symbol clicked once differs from both neighbours
+    seq = d_b >> 1
     new = seq[1:] != seq[:-1]
     lone = np.ones(len(seq), dtype=bool)
     lone[1:] = new
     lone[:-1] &= new
-    kept, bob_bits = detected[single], record.d_b_slot[lone]
+    kept, bob_bits = seq[lone], d_b[lone] & 1
     kinds = stream.kinds[kept % stream.n_symbols]
     # integer indices: a boolean mask this irregular gathers several times slower
     bit = np.flatnonzero(kinds != DECOY)
@@ -207,7 +202,7 @@ def run_protocol(config: OpticsConfig, n_symbols: int, seed: int,
     sift, estimate, distill. An abort is a result, not an exception."""
     sim = run_simulation(config, n_symbols, seed, attack)
     ann = announce(sim.record)
-    sifted = sift(sim.stream, ann, sim.record)
+    sifted = sift(sim.stream, sim.record.d_b)
     qber = estimate_qber(sifted.alice_bits, sifted.bob_bits)
     estimation = estimate_parameters(sim.stats, config.params,
                                      tolerance_sigmas, protocol, model)

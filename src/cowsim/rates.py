@@ -212,13 +212,15 @@ def _eve(mu, t, v, protocol: Protocol, model: PnsModel):
         # interferometric IR: error (1-r) p_ir / 4, information (1-r) p_ir / 2
         i_ir_needed = np.full_like(r, 1.0 - v)
         scale = 2.0
-    safe = np.where(r < 1.0, 1.0 - r, 1.0)
-    p_ir_needed = np.where(r < 1.0, scale * i_ir_needed / safe, np.inf)
+    # an unclamped r above 1 leaves Eve nothing to intercept, and one bit to know
+    room = np.maximum(1.0 - r, 0.0)
+    safe = np.where(room > 0.0, room, 1.0)
+    p_ir_needed = np.where(room > 0.0, scale * i_ir_needed / safe, np.inf)
     p_ir_needed = np.where(i_ir_needed == 0.0, 0.0, p_ir_needed)
     feasible = p_ir_needed <= 1.0
-    i_ir = np.where(feasible, i_ir_needed, 1.0 - r)
+    i_ir = np.where(feasible, i_ir_needed, room)
     p_ir = np.where(feasible, p_ir_needed, 1.0)
-    i_eve = r + i_ir
+    i_eve = np.minimum(r + i_ir, 1.0)
     return r, p_ir, i_ir, i_eve, feasible
 
 
@@ -239,7 +241,8 @@ def _keyrate(params: ProtocolParams, mu, protocol: Protocol, model: PnsModel,
     if protocol is Protocol.COW:
         q_opt = np.zeros_like(q_det)
     else:
-        q_opt = r * (1.0 - params.v) / 2.0 * p_s / safe
+        # r p_s <= r_s also rounded, so q_opt <= (1 - V) / 2 even for a subnormal r
+        q_opt = (1.0 - params.v) / 2.0 * (r * p_s / safe)
     eve = _eve(mu, params.t, params.v, protocol, model)
     raw = r_s * (1.0 - _entropy(q_opt + q_det) - eve[3])
     return r_s, q_opt, q_det, eve, raw

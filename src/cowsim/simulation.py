@@ -131,21 +131,16 @@ class OpticsConfig:
 
 @dataclass
 class DetectionRecord:
-    """Per-detector click lists as (sequence_index, slot_index) pairs.
+    """Each detector's clicks as one ascending array of slot indices.
 
-    Data-line entries index the two pulse slots of a symbol. Monitoring
-    entries index interferometer output slots, of which there is one more
-    than pulses; the trailing slot maps to (n_symbols, 0). Each list is in
-    ascending time, so d_b_seq is ascending and the clicks of one symbol are
-    neighbours.
+    A d_b entry is a pulse index, 2k + bit for symbol k: the arrival slot is
+    the bit. A monitor entry j is the interferometer output slot that pairs
+    pulses j - 1 and j; there is one more output slot than pulses.
     """
 
-    d_b_seq: np.ndarray
-    d_b_slot: np.ndarray
-    d_m1_seq: np.ndarray
-    d_m1_slot: np.ndarray
-    d_m2_seq: np.ndarray
-    d_m2_slot: np.ndarray
+    d_b: np.ndarray
+    d_m1: np.ndarray
+    d_m2: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -334,8 +329,9 @@ def _run_chain(config: OpticsConfig, stream: SymbolStream, seed: int,
               stages: tuple[int, int, int], n_frames: int = 1, n_slots: int = 0,
               frame_period_ns: float = 0.0) -> list:
     """Clicks of D_B, D_M1 and D_M2 over n_frames repetitions of the pulse
-    train, each as (frame, slot) arrays in ascending time. Every detector sees
-    at least n_slots slots per frame (dark counts only past the light); stages
+    train, each as one ascending array of absolute slots frame * width + slot,
+    where width is the detector's slots per frame. Every detector sees at
+    least n_slots slots per frame (dark counts only past the light); stages
     are the detectors' Philox stage ids. The optics are evaluated only at
     candidate slots (see detect), drawn per class: slots touching a window
     brighter than Alice's pulses at the bound of the brightest pulse, all
@@ -352,8 +348,8 @@ def _run_chain(config: OpticsConfig, stream: SymbolStream, seed: int,
         boosted = monitor if k else data
         if len(boosted):  # the same slots in every frame
             boosted = (width * np.arange(n_frames)[:, None] + boosted).ravel()
-        ss, p_hat = _class_candidates(rng, p_lo, p_hi, n_frames * width, boosted)
-        ff, ss = np.divmod(ss, width)
+        slots, p_hat = _class_candidates(rng, p_lo, p_hi, n_frames * width, boosted)
+        ss = slots % width
         if k == 0:
             intensity = propagate(stream.pulses(ss)[0], params)[0]
         else:
@@ -361,13 +357,14 @@ def _run_chain(config: OpticsConfig, stream: SymbolStream, seed: int,
             intensity = interferometer_outputs(
                 propagate(a_left, params)[1], propagate(a_right, params)[1],
                 ph_left - ph_right, params.v, config.insertion_loss)[k - 1]
-        keep = detect(intensity, p_hat, params.eta, params.p_d, rng, config.background)
-        ff, ss = ff[keep], ss[keep]
+        # integer indices: a boolean mask this irregular gathers several times slower
+        slots = slots[np.flatnonzero(detect(intensity, p_hat, params.eta, params.p_d,
+                                            rng, config.background))]
         if config.deadtime_ns > 0.0:
+            ff, ss = np.divmod(slots, width)
             times = ff * frame_period_ns + ss * params.pulse_period_ns
-            keep = _suppress_deadtime(times, config.deadtime_ns)
-            ff, ss = ff[keep], ss[keep]
-        clicks.append((ff, ss))
+            slots = slots[np.flatnonzero(_suppress_deadtime(times, config.deadtime_ns))]
+        clicks.append(slots)
     return clicks
 
 
@@ -425,27 +422,21 @@ def simulate_stream(config: OpticsConfig, stream: SymbolStream, seed: int) -> Si
     slots from the train's length and its windows' peak amplitudes, then one
     uniform each.
     """
-    (_, gb), (_, g1), (_, g2) = _run_chain(config, stream, seed,
-                                          (_STAGE_DATA, _STAGE_M1, _STAGE_M2))
-    record = DetectionRecord(
-        d_b_seq=gb // 2, d_b_slot=gb % 2,
-        d_m1_seq=g1 // 2, d_m1_slot=g1 % 2,
-        d_m2_seq=g2 // 2, d_m2_slot=g2 % 2,
-    )
-    stats = _monitoring_tally(stream.kinds, g1, g2)
+    d_b, d_m1, d_m2 = _run_chain(config, stream, seed, (_STAGE_DATA, _STAGE_M1, _STAGE_M2))
+    stats = _monitoring_tally(stream.kinds, d_m1, d_m2)
 
-    kind = stream.kinds[record.d_b_seq]
+    kind = stream.kinds[d_b >> 1]
     n_bits = int(np.count_nonzero(stream.kinds != DECOY))
     # bit symbols whose arrival slot clicked, double clicks included
-    n_signal = int(np.count_nonzero((kind != DECOY) & (record.d_b_slot == (kind == BIT1))))
+    n_signal = int(np.count_nonzero((kind != DECOY) & ((d_b & 1) == (kind == BIT1))))
     empirical_r = n_signal / n_bits if n_bits else 0.0
     # per non-empty pulse: with insertion loss L this converges to
     # (1-L) mu t (1-t_B) eta, i.e. half the lossless rate at the default L=0.5
     n_nonempty = int(np.bincount(stream.shapes, minlength=len(stream.table))
                      @ np.count_nonzero(stream.table > 0.0, axis=1))
-    monitoring_rate = (len(g1) + len(g2)) / n_nonempty if n_nonempty else 0.0
-    return SimResult(stream=stream, record=record, stats=stats, n_bits=n_bits,
-                     empirical_r=empirical_r,
+    monitoring_rate = (len(d_m1) + len(d_m2)) / n_nonempty if n_nonempty else 0.0
+    return SimResult(stream=stream, record=DetectionRecord(d_b, d_m1, d_m2), stats=stats,
+                     n_bits=n_bits, empirical_r=empirical_r,
                      monitoring_rate_per_pulse=monitoring_rate)
 
 
@@ -454,7 +445,7 @@ def run_simulation(config: OpticsConfig, n_symbols: int, seed: int,
     """Generate a fresh symbol stream, optionally attack it, and simulate."""
     stream = generate_symbols(n_symbols, config.params.f, config.params.mu, seed)
     attack_log = None
-    if attack is not None and getattr(attack, "is_active", lambda: False)():
+    if attack is not None and attack.is_active():
         from .attacks import apply_intercept_resend
         stream, attack_log = apply_intercept_resend(
             stream, attack, config.params, stage_rng(seed, _STAGE_ATTACK))

@@ -22,7 +22,6 @@ from cowsim import (
     Protocol,
     ProtocolParams,
     RateMode,
-    announce,
     counting_rate,
     monitoring_rate,
     run_experiment,
@@ -36,7 +35,7 @@ from cowsim import (
 )
 from cowsim.config import EXPERIMENT_PRESET
 from cowsim.experiment import ExperimentConfig
-from cowsim.simulation import BIT0, BIT1, DECOY, DetectionRecord, SymbolStream
+from cowsim.simulation import BIT0, BIT1, DECOY, SymbolStream
 
 RSK_REFERENCE = 0.03364479379661617  # mpmath oracle, 40 digits
 FIG2 = dict(f=0.1, t_b=1.0, eta=0.1, p_d=1e-5)
@@ -229,7 +228,7 @@ def test_criterion_7_protocol_pipeline():
     assert rep.qber.value == 0.0
 
     # bit-level identity of the sifted keys of the reported run
-    pair = sift(rep.sim.stream, rep.announcement, rep.sim.record)
+    pair = sift(rep.sim.stream, rep.sim.record.d_b)
     assert np.array_equal(pair.alice_bits, pair.bob_bits)
 
     ana = secret_key_rate(params, Protocol.COW, PnsModel(), RateMode.EXACT)
@@ -241,11 +240,7 @@ def test_criterion_7_protocol_pipeline():
     # hand-traced four-symbol sifting example
     kinds = np.array([BIT0, BIT1, DECOY, BIT0], dtype=np.int8)
     stream = SymbolStream(kinds=kinds, mu=0.5)
-    record = DetectionRecord(
-        d_b_seq=np.array([0, 2]), d_b_slot=np.array([0, 0]),
-        d_m1_seq=np.empty(0, int), d_m1_slot=np.empty(0, int),
-        d_m2_seq=np.empty(0, int), d_m2_slot=np.empty(0, int))
-    traced = sift(stream, announce(record), record)
+    traced = sift(stream, np.array([0, 4]))  # pulses 0 and 4: symbols 0 and 2, slot 0
     assert list(traced.kept_indices) == [0]
     assert list(traced.alice_bits) == [0]
     assert list(traced.bob_bits) == [0]

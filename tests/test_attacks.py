@@ -235,8 +235,8 @@ class TestDataLineSideEffects:
         cfg = OpticsConfig(params=params, insertion_loss=0.0)
         from cowsim.simulation import simulate_stream
         sim = simulate_stream(cfg, out, seed=37)
-        from cowsim import announce, sift
-        pair = sift(out, announce(sim.record), sim.record)
+        from cowsim import sift
+        pair = sift(out, sim.record.d_b)
         attacked = np.zeros(n, dtype=bool)
         attacked[log.attacked_windows] = True
         known = np.count_nonzero(attacked[pair.kept_indices])

@@ -36,10 +36,9 @@ def empty_int():
 
 
 def record_with(seq, slot):
-    return DetectionRecord(
-        d_b_seq=np.asarray(seq, dtype=int), d_b_slot=np.asarray(slot, dtype=int),
-        d_m1_seq=empty_int(), d_m1_slot=empty_int(),
-        d_m2_seq=empty_int(), d_m2_slot=empty_int())
+    """Data-line clicks of symbols seq at arrival slots slot."""
+    d_b = 2 * np.asarray(seq, dtype=int) + np.asarray(slot, dtype=int)
+    return DetectionRecord(d_b=d_b, d_m1=empty_int(), d_m2=empty_int())
 
 
 def stream_of(kinds):
@@ -79,7 +78,7 @@ class TestSift:
         # four symbols, clicks at 0 and 2; symbol 2 is a decoy
         stream = stream_of([BIT0, BIT1, DECOY, BIT0])
         record = record_with([0, 2], [0, 0])
-        pair = sift(stream, announce(record), record)
+        pair = sift(stream, record.d_b)
         assert list(pair.kept_indices) == [0]
         assert list(pair.alice_bits) == [0]
         assert list(pair.bob_bits) == [0]
@@ -88,20 +87,20 @@ class TestSift:
         kinds = [BIT0, BIT1, BIT1, BIT0]
         stream = stream_of(kinds)
         record = record_with([0, 1, 2, 3], [0, 1, 1, 0])
-        pair = sift(stream, announce(record), record)
+        pair = sift(stream, record.d_b)
         assert np.array_equal(pair.alice_bits, pair.bob_bits)
         assert len(pair.kept_indices) == 4
 
     def test_only_decoy_clicks(self):
         stream = stream_of([DECOY, DECOY, BIT0])
         record = record_with([0, 1], [0, 1])
-        pair = sift(stream, announce(record), record)
+        pair = sift(stream, record.d_b)
         assert len(pair.kept_indices) == 0
 
     def test_ambiguous_symbols_removed(self):
         stream = stream_of([BIT0, BIT1])
         record = record_with([0, 0, 1], [0, 1, 1])
-        pair = sift(stream, announce(record), record)
+        pair = sift(stream, record.d_b)
         assert list(pair.kept_indices) == [1]
 
     @staticmethod
@@ -113,7 +112,7 @@ class TestSift:
         keep_mask &= stream.kinds != DECOY
         kept = np.nonzero(keep_mask)[0]
         bob_slot = np.zeros(stream.n_symbols, dtype=np.int8)
-        bob_slot[record.d_b_seq] = record.d_b_slot
+        bob_slot[record.d_b >> 1] = record.d_b & 1
         return SiftedKeyPair(alice_bits=(stream.kinds[kept] == BIT1).astype(np.int8),
                              bob_bits=bob_slot[kept], kept_indices=kept)
 
@@ -127,10 +126,10 @@ class TestSift:
                                    min_size=n_total, max_size=n_total))
         seq = [k for k, s in enumerate(slots) for _ in s]
         record = record_with(seq, [b for s in slots for b in s])
-        ann = announce(record)
-        pair = sift(stream_of(kinds), ann, record)
-        # symbol k of a framed run is symbol k mod n of its frame
-        ref = self.dense_sift(stream_of(kinds * n_frames), ann, record)
+        pair = sift(stream_of(kinds), record.d_b)
+        # symbol k of a framed run is symbol k mod n of its frame; the
+        # reference keeps what Bob announced, sift reads only the clicks
+        ref = self.dense_sift(stream_of(kinds * n_frames), announce(record), record)
         for name in ("alice_bits", "bob_bits", "kept_indices"):
             np.testing.assert_array_equal(getattr(pair, name), getattr(ref, name))
 
@@ -206,11 +205,10 @@ class TestRunProtocol:
     def test_keys_identical_for_any_setup_visibility(self):
         # the data line is interference free: without darks the keys match
         # bit for bit no matter how badly the interferometer is tuned
-        from cowsim import announce as announce_op, run_simulation
         for v in (0.5, 0.8):
             p = params(p_d=0.0, v=v)
             sim = run_simulation(OpticsConfig(params=p), 100000, seed=13)
-            pair = sift(sim.stream, announce_op(sim.record), sim.record)
+            pair = sift(sim.stream, sim.record.d_b)
             assert np.array_equal(pair.alice_bits, pair.bob_bits)
 
     def test_secret_fraction_tracks_analysis(self):
@@ -249,7 +247,7 @@ class TestRunProtocol:
         assert rep.sim.stats == sim.stats
         np.testing.assert_equal(dataclasses.asdict(rep.announcement),
                                 dataclasses.asdict(announce(sim.record)))
-        pair = sift(sim.stream, announce(sim.record), sim.record)
+        pair = sift(sim.stream, sim.record.d_b)
         np.testing.assert_equal(dataclasses.asdict(rep.sifted), dataclasses.asdict(pair))
         assert rep.qber == estimate_qber(pair.alice_bits, pair.bob_bits)
         est = estimate_parameters(rep.sim.stats, p, tolerance)
@@ -273,7 +271,7 @@ class TestRunProtocol:
         rep = run_protocol(OpticsConfig(params=p, deadtime_ns=deadtime_ns),
                            100000, seed=17, attack=atk)
         q, pair = rep.qber, rep.sifted
-        assert np.all(np.diff(rep.sim.record.d_b_seq) >= 0)  # sift relies on it
+        assert np.all(np.diff(rep.sim.record.d_b) > 0)  # sift relies on it
         assert q.n_errors > 0
         assert q.n_sifted == len(pair.kept_indices) == rep.distill.n_sifted
         assert q.n_errors == np.count_nonzero(pair.alice_bits != pair.bob_bits)

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cowsim import (
@@ -376,6 +376,9 @@ def analysis_inputs(draw):
 class TestProperties:
     @settings(max_examples=500, deadline=None)
     @given(analysis_inputs())
+    @example((fig2_params(mu=2.2250738585072014e-308, loss_db=1.75, f=0.0, eta=0.5,
+                          p_d=0.0, v=0.0),  # r subnormal
+              Protocol.BB84_DECOY, PnsModel(PnsKind.ERROR_FREE, False), RateMode.EXACT))
     def test_rates_bounded(self, inputs):
         p, proto, model, mode = inputs
         res = secret_key_rate(p, proto, model, mode)
@@ -403,6 +406,21 @@ class TestProperties:
         k = x * (1.0 - e.r)
         if k > 0.0:
             assert abs(e.p_ir - p_ir) <= 1e-9 + eps / k
+
+    @settings(max_examples=500, deadline=None)
+    @given(analysis_inputs(), st.floats(0.0, 1.0))
+    @example((fig2_params(mu=1.0, loss_db=10.0), Protocol.COW, PnsModel(),
+              RateMode.LINEARIZED), 0.9)
+    def test_unclamped_information_at_most_one_bit(self, inputs, scale):
+        # an unclamped PNS fraction r may exceed 1 (mu / 2t = 5 above), and
+        # Eve's information still stays within one bit and grows as V falls
+        p, proto, model, _ = inputs
+        model = PnsModel(model.kind, clamp=False)
+        high, low = (eve_information(replace(p, v=v), proto, model)
+                     for v in (p.v, p.v * scale))
+        for e in (high, low):
+            assert 0.0 <= e.i_ir and e.i_eve <= 1.0
+        assert low.i_eve >= high.i_eve
 
     @settings(max_examples=100, deadline=None)
     @given(analysis_inputs(), st.floats(0.0, 30.0, allow_subnormal=False))

@@ -239,8 +239,8 @@ class TestSparseSampler:
         dense = dense_click_probabilities(cfg, *dense_train(stream))
         counts = [np.zeros(len(p), dtype=np.int64) for p in dense]
         for seed in range(self.N_SEEDS):
-            for k, (ff, ss) in enumerate(_run_chain(cfg, stream, seed, self.STAGES)):
-                assert np.all(ff == 0) and np.all(np.diff(ss) > 0)
+            for k, ss in enumerate(_run_chain(cfg, stream, seed, self.STAGES)):
+                assert np.all(ss < len(dense[k])) and np.all(np.diff(ss) > 0)
                 counts[k] += np.bincount(ss, minlength=len(dense[k]))
         for c, p in zip(counts, dense):
             assert_counts_match(c, p, self.N_SEEDS, np.arange(len(p)) if per_slot else None)
@@ -322,9 +322,9 @@ class TestRunSimulation:
     def test_dark_and_source_free_is_empty(self):
         cfg = OpticsConfig(params=params(mu=0.0, p_d=0.0))
         sim = run_simulation(cfg, 5000, seed=3)
-        assert len(sim.record.d_b_seq) == 0
-        assert len(sim.record.d_m1_seq) == 0
-        assert len(sim.record.d_m2_seq) == 0
+        assert len(sim.record.d_b) == 0
+        assert len(sim.record.d_m1) == 0
+        assert len(sim.record.d_m2) == 0
 
     def test_rates_match_closed_forms(self):
         p = params(v=0.92)
@@ -375,11 +375,10 @@ class TestRunSimulation:
         cfg = OpticsConfig(params=params(v=0.92))
         a = run_simulation(cfg, 50000, seed=21)
         b = run_simulation(cfg, 50000, seed=21)
-        for attr in ("d_b_seq", "d_b_slot", "d_m1_seq", "d_m1_slot",
-                     "d_m2_seq", "d_m2_slot"):
+        for attr in ("d_b", "d_m1", "d_m2"):
             assert np.array_equal(getattr(a.record, attr), getattr(b.record, attr))
         c = run_simulation(cfg, 50000, seed=22)
-        assert not np.array_equal(a.record.d_b_seq, c.record.d_b_seq)
+        assert not np.array_equal(a.record.d_b, c.record.d_b)
 
 
 class TestDeadtime:
@@ -421,8 +420,7 @@ class TestDeadtime:
         p = params(mu=1.0, eta=1.0, t_b=0.9, p_d=0.0, pulse_period_ns=1.0)
         cfg = OpticsConfig(params=p, deadtime_ns=7.0)
         sim = run_simulation(cfg, 20000, seed=2)
-        g = 2 * sim.record.d_b_seq + sim.record.d_b_slot
-        assert np.all(np.diff(g) >= 7)
+        assert np.all(np.diff(sim.record.d_b) >= 7)
 
 
 class TestEstimators:
