@@ -14,7 +14,12 @@ simulate_dump_events was regenerated once more when attacked streams began
 drawing candidates per window class: slots touching a window Eve resent
 brighter than Alice's pulses at the bound of that brightness, all others at
 the bound of Alice's pulses. Clean streams draw as before, so every other case
-kept its hash. simulate_no_decoy_abort pins the bytes of an aborted run."""
+kept its hash. simulate_no_decoy_abort pins the bytes of an aborted run.
+
+simulate_bb84_intercept_resend pins the predicted signature of an attacked
+BB84 run (predicted_v = 0.8625): there the intercept-resend relation is the
+interferometric one, I = (1 - r) p_ir / 2 and 1 - V = I, where every other
+attacked case is time-basis COW with 1 - V = I xi."""
 
 import hashlib
 
@@ -61,6 +66,11 @@ GOLDEN = {
     "simulate_no_decoy_abort": (
         ["simulate", "--set", "f=0", "--set", "n_symbols=20000", "--seed", "5"], 2,
         {"out.csv": "6a74f1dbcabd846b630dd8688411db33218469f60e3c17d6d1c268ad3a170a4c"}),
+    "simulate_bb84_intercept_resend": (
+        ["simulate", "--set", "n_symbols=20000", "--seed", "5", "--protocol", "bb84",
+         "--pns-model", "alt", "--set", "attack=intercept-resend", "--set", "p_ir=0.5",
+         "--set", "loss_db=10"], 2,
+        {"out.csv": "1f5528cbbf5338123b957f42a04685b1ed3611f20d229676934f5bf04f301be5"}),
 }
 
 
