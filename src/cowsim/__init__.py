@@ -22,6 +22,7 @@ from .rates import (
     pns_fraction,
     eve_information,
     secret_key_rate,
+    predicted_signature,
 )
 from .optimize import (
     OptimizationSpec,
@@ -52,7 +53,6 @@ from .attacks import (
     AttackConfig,
     AttackLog,
     apply_intercept_resend,
-    predicted_signature,
 )
 from .protocol import (
     Announcement,

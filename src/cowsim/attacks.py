@@ -1,4 +1,4 @@
-"""Eavesdropper transformations on the pulse stream and their predicted signatures.
+"""Eavesdropper transformations on the pulse stream.
 
 The intercept-resend attack measures arrival times on symbol-aligned two-pulse
 windows downstream of the lossy channel (per-pulse intensity mu t there) and
@@ -8,7 +8,8 @@ boundaries. Resend amplitudes are scaled by 1/P(at least one detection per
 non-empty pair) so the expected intensity reaching Bob matches the unattacked
 channel; a one-detection window concentrates its whole restored budget in the
 detected pulse. With that bookkeeping the count-based decoy-class visibility
-converges to 1 - (1-r) p_ir xi exactly.
+converges to 1 - (1-r) p_ir xi exactly, the visibility that
+rates.predicted_signature gives for the attack.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .rates import PnsModel, Protocol, ProtocolParams, eve_information, xi
+from .rates import ProtocolParams
 from .simulation import BIT0, BIT1, DECOY, SymbolStream, _uniform_chunks
 
 __all__ = [
@@ -27,21 +28,16 @@ __all__ = [
     "AttackConfig",
     "AttackLog",
     "apply_intercept_resend",
-    "predicted_signature",
 ]
 
 
 class AttackKind(Enum):
     NONE = "none"
     INTERCEPT_RESEND = "intercept-resend"
-    PNS_COUNTING = "pns-counting"
 
 
 @dataclass(frozen=True)
 class AttackConfig:
-    """PNS_COUNTING is accounting-only: it contributes the fraction r to Eve's
-    information without touching the stream."""
-
     kind: AttackKind = AttackKind.NONE
     p_ir: float = 0.0
 
@@ -58,7 +54,6 @@ class AttackLog:
     attacked_windows: np.ndarray
     eve_conclusive: int
     eve_known_bits: int
-    n_windows: int
 
     def __post_init__(self):
         if self.eve_conclusive > len(self.attacked_windows):
@@ -80,7 +75,7 @@ def apply_intercept_resend(stream: SymbolStream, config: AttackConfig,
     """
     n = stream.n_symbols
     empty_log = AttackLog(attacked_windows=np.empty(0, dtype=np.int64),
-                          eve_conclusive=0, eve_known_bits=0, n_windows=n)
+                          eve_conclusive=0, eve_known_bits=0)
     if not config.is_active():
         return stream, empty_log
 
@@ -131,26 +126,7 @@ def apply_intercept_resend(stream: SymbolStream, config: AttackConfig,
     conclusive = int(np.count_nonzero(resent))
     log = AttackLog(attacked_windows=np.nonzero(attacked)[0],
                     eve_conclusive=conclusive,
-                    eve_known_bits=known_bits,
-                    n_windows=n)
+                    eve_known_bits=known_bits)
     return SymbolStream(kinds=stream.kinds, mu=stream.mu, shapes=shapes,
                         table=np.vstack((stream.table, rows)), theta=theta), log
 
-
-def predicted_signature(config: AttackConfig, params: ProtocolParams,
-                        protocol: Protocol = Protocol.COW,
-                        model: PnsModel = PnsModel()) -> tuple[float, float]:
-    """Closed-form (expected visibility, expected Eve information) for an
-    attack configuration; the algebraic inverse of the information estimate
-    performed from an observed visibility."""
-    r = eve_information(params, protocol, model).r
-    if config.kind is AttackKind.INTERCEPT_RESEND and config.p_ir > 0.0:
-        # an unclamped r above 1 leaves Eve nothing to intercept
-        if protocol is Protocol.COW:
-            info = max(1.0 - r, 0.0) * config.p_ir
-            v = 1.0 - info * xi(params.mu, params.t)
-        else:
-            info = max(1.0 - r, 0.0) * config.p_ir / 2.0
-            v = 1.0 - info
-        return v, min(r + info, 1.0)
-    return 1.0, min(r, 1.0)

@@ -12,12 +12,11 @@ import argparse
 import sys
 
 from . import __version__
-from .attacks import predicted_signature
 from .config import EXPERIMENT_PRESET, ConfigError, RunConfig
 from .experiment import DETECTORS, run_experiment
 from .optimize import optimize_mu, sweep_loss
 from .protocol import run_protocol
-from .rates import secret_key_rate
+from .rates import predicted_signature, secret_key_rate
 
 __all__ = ["main"]
 
@@ -95,7 +94,8 @@ def cmd_simulate(cfg: RunConfig, out_path, dump_events=None) -> int:
                           tolerance_sigmas=cfg["tolerance_sigmas"],
                           protocol=cfg.protocol(), model=cfg.pns_model())
     lines = _metadata(cfg, "simulate")
-    pred_v, pred_i = predicted_signature(attack, cfg.params(), cfg.protocol(),
+    p_ir = attack.p_ir if attack.is_active() else 0.0
+    pred_v, pred_i = predicted_signature(cfg.params(), p_ir, cfg.protocol(),
                                          cfg.pns_model())
     sim, ann, q, est, dist = (report.sim, report.announcement, report.qber,
                               report.estimation, report.distill)

@@ -44,8 +44,8 @@ class OptimizationSpec:
     refine_tolerance: float = 1e-6
 
     def __post_init__(self):
-        if not 0.0 < self.mu_min < self.mu_max:
-            raise ValueError("require 0 < mu_min < mu_max")
+        if not 0.0 < self.mu_min < self.mu_max < math.inf:
+            raise ValueError("require 0 < mu_min < mu_max < inf")
         if self.grid_points < 100:
             raise ValueError("grid_points must be >= 100")
         if not 0.0 < self.refine_tolerance < self.mu_max - self.mu_min:

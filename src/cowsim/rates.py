@@ -35,6 +35,7 @@ __all__ = [
     "pns_fraction",
     "eve_information",
     "secret_key_rate",
+    "predicted_signature",
 ]
 
 
@@ -195,28 +196,29 @@ def _pns_r(mu, t, model: PnsModel):
     return r
 
 
+def _intercept_resend(mu_t, protocol: Protocol):
+    """(scale, loss) of intercept-resend: Eve learns I = (1-r) p_ir / scale,
+    and 1 - V = I loss. COW's IR is in the time basis, (1, xi(mu t)); BB84's
+    is interferometric, error (1-r) p_ir / 4 and information (1-r) p_ir / 2."""
+    if protocol is Protocol.COW:
+        return 1.0, _xi(mu_t)
+    return 2.0, 1.0
+
+
 def _eve(mu, t, v, protocol: Protocol, model: PnsModel):
     """Return (r, p_ir, i_ir, i_eve, feasible) as numpy arrays."""
     if protocol is Protocol.BB84_PLAIN:
         # without decoy states every multi-photon pulse leaks for free
         model = PnsModel(PnsKind.ERROR_FREE, model.clamp)
     r = np.asarray(_pns_r(mu, t, model), dtype=float)
-    if protocol is Protocol.COW:
-        # 1 - V = I xi, and the IR is in the time basis: I = (1-r) p_ir. xi
-        # underflows to 0 above mu t of about 745: V = 1 still needs no IR,
-        # and any deficit there is infeasible
-        with np.errstate(divide="ignore"):
-            i_ir_needed = (1.0 - v) / _xi(mu * t) if v < 1.0 else np.zeros_like(r)
-        scale = 1.0
-    else:
-        # interferometric IR: error (1-r) p_ir / 4, information (1-r) p_ir / 2
-        i_ir_needed = np.full_like(r, 1.0 - v)
-        scale = 2.0
+    scale, loss = _intercept_resend(mu * t, protocol)
     # an unclamped r above 1 leaves Eve nothing to intercept, and one bit to know
     room = np.maximum(1.0 - r, 0.0)
-    safe = np.where(room > 0.0, room, 1.0)
-    p_ir_needed = np.where(room > 0.0, scale * i_ir_needed / safe, np.inf)
-    p_ir_needed = np.where(i_ir_needed == 0.0, 0.0, p_ir_needed)
+    # xi underflows to 0 above mu t of about 745: V = 1 still needs no IR, and
+    # any deficit there, or with no room, is infeasible (p_ir = inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        i_ir_needed = (1.0 - v) / loss if v < 1.0 else 0.0
+        p_ir_needed = np.where(i_ir_needed == 0.0, 0.0, scale * i_ir_needed / room)
     feasible = p_ir_needed <= 1.0
     i_ir = np.where(feasible, i_ir_needed, room)
     p_ir = np.where(feasible, p_ir_needed, 1.0)
@@ -234,15 +236,16 @@ def _keyrate(params: ProtocolParams, mu, protocol: Protocol, model: PnsModel,
     """
     r = _counting(mu, params, mode)
     p_s = 1.0 - params.f
-    r_s = (r + 2.0 * params.p_d * (1.0 - r)) * p_s
-    # a dead channel sifts nothing: its QBER parts are zero
-    safe = np.where(r_s > 0.0, r_s, np.inf)
-    q_det = (1.0 - r) * params.p_d * p_s / safe
+    dark = params.p_d * (1.0 - r)
+    r_s = (r + 2.0 * dark) * p_s
+    # a dead channel sifts nothing: its QBER parts are zero. p_s cancels from
+    # both parts, so q_det <= 1/2 and q_opt <= (1 - V) / 2 at subnormal rates
+    safe = np.where(r_s > 0.0, r + 2.0 * dark, np.inf)
+    q_det = dark / safe
     if protocol is Protocol.COW:
         q_opt = np.zeros_like(q_det)
     else:
-        # r p_s <= r_s also rounded, so q_opt <= (1 - V) / 2 even for a subnormal r
-        q_opt = (1.0 - params.v) / 2.0 * (r * p_s / safe)
+        q_opt = (1.0 - params.v) / 2.0 * (r / safe)
     eve = _eve(mu, params.t, params.v, protocol, model)
     raw = r_s * (1.0 - _entropy(q_opt + q_det) - eve[3])
     return r_s, q_opt, q_det, eve, raw
@@ -344,3 +347,14 @@ def secret_key_rate(params: ProtocolParams, protocol: Protocol = Protocol.COW,
                          qber=QberBreakdown(q_total=q_opt + q_det, q_opt=q_opt,
                                             q_det=q_det),
                          eve=_eve_info(eve), r_sk_raw=raw, r_sk=max(0.0, raw))
+
+
+def predicted_signature(params: ProtocolParams, p_ir: float, protocol: Protocol = Protocol.COW,
+                        model: PnsModel = PnsModel()) -> tuple[float, float]:
+    """Closed-form (V, I_Eve) of an intercept-resend attack on a fraction p_ir
+    of the windows, p_ir = 0 for none: the inverse of eve_information."""
+    r = eve_information(params, protocol, model).r
+    scale, loss = _intercept_resend(params.mu * params.t, protocol)
+    # an unclamped r above 1 leaves Eve nothing to intercept
+    info = max(1.0 - r, 0.0) * p_ir / scale
+    return 1.0 - info * float(loss), min(r + info, 1.0)

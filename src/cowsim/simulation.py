@@ -432,8 +432,9 @@ def simulate_stream(config: OpticsConfig, stream: SymbolStream, seed: int) -> Si
     empirical_r = n_signal / n_bits if n_bits else 0.0
     # per non-empty pulse: with insertion loss L this converges to
     # (1-L) mu t (1-t_B) eta, i.e. half the lossless rate at the default L=0.5
-    n_nonempty = int(np.bincount(stream.shapes, minlength=len(stream.table))
-                     @ np.count_nonzero(stream.table > 0.0, axis=1))
+    # one row at a time: a bincount would cast the 1-byte codes to intp
+    n_nonempty = sum(np.count_nonzero(stream.shapes == c) * np.count_nonzero(row)
+                     for c, row in enumerate(stream.table > 0.0) if row.any())
     monitoring_rate = (len(d_m1) + len(d_m2)) / n_nonempty if n_nonempty else 0.0
     return SimResult(stream=stream, record=DetectionRecord(d_b, d_m1, d_m2), stats=stats,
                      n_bits=n_bits, empirical_r=empirical_r,

@@ -1,5 +1,6 @@
-"""Intercept-resend attack: stream transformation, predicted signatures, and
-closed-form oracles for the data-line side effects of the resend policy."""
+"""Intercept-resend attack: stream transformation, the predicted signatures of
+rates.predicted_signature, and closed-form oracles for the data-line side
+effects of the resend policy."""
 
 import math
 
@@ -100,8 +101,8 @@ class TestStreamTransform:
 
     def test_inactive_attack_is_identity(self):
         stream = generate_symbols(20000, 0.3, 0.5, seed=1)
-        for cfg in (AttackConfig(), ir(0.0),
-                    AttackConfig(kind=AttackKind.PNS_COUNTING, p_ir=0.0)):
+        # a set p_ir leaves the attack inactive while its kind is none
+        for cfg in (AttackConfig(), ir(0.0), AttackConfig(p_ir=0.5)):
             out, log = apply_intercept_resend(stream, cfg, attack_params(),
                                               stage_rng(1, 2))
             assert out is stream
@@ -164,13 +165,13 @@ class TestXiRelation:
 class TestPredictedSignature:
     def test_no_attack(self):
         params = attack_params(mu=0.05, loss_db=0.0)
-        v, i_eve = predicted_signature(AttackConfig(), params, Protocol.COW,
+        v, i_eve = predicted_signature(params, 0.0, Protocol.COW,
                                        PnsModel(PnsKind.ERROR_FREE))
         assert v == 1.0 and i_eve == 0.0
 
     def test_half_attack_values(self):
         params = attack_params(mu=0.05, loss_db=0.0)
-        v, i_eve = predicted_signature(ir(0.5), params, Protocol.COW,
+        v, i_eve = predicted_signature(params, 0.5, Protocol.COW,
                                        PnsModel(PnsKind.ERROR_FREE))
         assert i_eve == pytest.approx(0.5, rel=1e-12)
         assert 1.0 - v == pytest.approx(0.4875026035157897, abs=1e-9)
@@ -179,7 +180,7 @@ class TestPredictedSignature:
     def test_round_trip_through_estimator(self, p_ir):
         params = attack_params(mu=0.05, loss_db=0.0)
         model = PnsModel(PnsKind.ERROR_FREE)
-        v, i_eve = predicted_signature(ir(p_ir), params, Protocol.COW, model)
+        v, i_eve = predicted_signature(params, p_ir, Protocol.COW, model)
         est = eve_information(
             ProtocolParams(mu=0.05, loss_db=0.0, f=params.f, t_b=params.t_b,
                            eta=params.eta, p_d=params.p_d, v=v),

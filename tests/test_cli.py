@@ -157,6 +157,13 @@ class TestSimulateCommand:
         assert row["abort"] == "true"
         assert row["n_secret"] == "0"
 
+    def test_unknown_attack_is_one_error_line(self):
+        # intercept-resend is the only attack that acts on the stream
+        code, out, err = run_cli("simulate", "--set", "attack=pns-counting")
+        assert code == 1 and out == ""
+        assert err.startswith("cowsim: error: ") and err.count("\n") == 1
+        assert "none|intercept-resend" in err
+
     def test_event_dump(self, tmp_path):
         dump = tmp_path / "events.csv"
         code, _, _ = run_cli("simulate", "--set", "n_symbols=100000",
@@ -247,6 +254,8 @@ class TestInputValidation:
         ("simulate", "seed=-1"),
         ("simulate", f"seed={2 ** 64}"),
         ("experiment", "seed=-1"),
+        ("optimize", "mu_max=inf"),
+        ("curve", "mu_max=inf"),
     ])
     def test_out_of_range_is_one_error_line(self, command, setting):
         code, out, err = run_cli(command, "--set", setting,

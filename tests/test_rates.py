@@ -13,8 +13,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cowsim import (
-    AttackConfig,
-    AttackKind,
     OptimizationSpec,
     PnsKind,
     PnsModel,
@@ -379,6 +377,8 @@ class TestProperties:
     @example((fig2_params(mu=2.2250738585072014e-308, loss_db=1.75, f=0.0, eta=0.5,
                           p_d=0.0, v=0.0),  # r subnormal
               Protocol.BB84_DECOY, PnsModel(PnsKind.ERROR_FREE, False), RateMode.EXACT))
+    @example((fig2_params(mu=0.0, f=0.4, p_d=5e-324),  # p_d subnormal, no signal
+              Protocol.COW, PnsModel(), RateMode.LINEARIZED))
     def test_rates_bounded(self, inputs):
         p, proto, model, mode = inputs
         res = secret_key_rate(p, proto, model, mode)
@@ -391,8 +391,7 @@ class TestProperties:
     @given(analysis_inputs(), st.floats(0.0, 1.0))
     def test_signature_inverts_information(self, inputs, p_ir):
         p, proto, model, _ = inputs
-        v_pred, i_pred = predicted_signature(
-            AttackConfig(AttackKind.INTERCEPT_RESEND, p_ir), p, proto, model)
+        v_pred, i_pred = predicted_signature(p, p_ir, proto, model)
         e = eve_information(replace(p, v=v_pred), proto, model)
         assume(e.feasible)
         # v = 1 - x (1 - r) p_ir with x = xi (COW) or 1/2 (BB84): rounding v
@@ -406,6 +405,14 @@ class TestProperties:
         k = x * (1.0 - e.r)
         if k > 0.0:
             assert abs(e.p_ir - p_ir) <= 1e-9 + eps / k
+
+    @settings(max_examples=500, deadline=None)
+    @given(analysis_inputs())
+    def test_no_attack_signature(self, inputs):
+        # p_ir = 0 leaves the visibility at 1 and Eve the PNS fraction alone
+        p, proto, model, _ = inputs
+        r = eve_information(p, proto, model).r
+        assert predicted_signature(p, 0.0, proto, model) == (1.0, min(r, 1.0))
 
     @settings(max_examples=500, deadline=None)
     @given(analysis_inputs(), st.floats(0.0, 1.0))

@@ -1,6 +1,7 @@
 """Monte Carlo optics: physics bookkeeping, estimator consistency, determinism."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from cowsim import (
     run_experiment,
     run_protocol,
     run_simulation,
+    simulate_stream,
 )
 from cowsim.attacks import apply_intercept_resend
 from cowsim.experiment import FRAME_PATTERNS
@@ -325,6 +327,20 @@ class TestRunSimulation:
         assert len(sim.record.d_b) == 0
         assert len(sim.record.d_m1) == 0
         assert len(sim.record.d_m2) == 0
+
+    def test_per_symbol_bookkeeping_below_two_bytes(self):
+        # no candidate clicks: the peak is simulate_stream's own per-symbol
+        # work, which needs no more than a one-byte mask at a time
+        n = 1_000_000
+        stream = generate_symbols(n, 0.1, 0.5, seed=6)
+        tracemalloc.start()
+        try:
+            sim = simulate_stream(OpticsConfig(params=params(eta=0.0, p_d=0.0)), stream, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(sim.record.d_b) == len(sim.record.d_m1) == len(sim.record.d_m2) == 0
+        assert peak < 2 * n
 
     def test_rates_match_closed_forms(self):
         p = params(v=0.92)
