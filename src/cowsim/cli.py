@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Subcommands: keyrate, curve, optimize, simulate, experiment. Output is CSV
-preceded by a metadata block of '#' lines carrying the fully resolved
-configuration; reruns with identical configuration and seed are byte
-identical. Exit codes: 0 success, 1 configuration error, 2 protocol abort.
+One subcommand per entry of COMMANDS. Output is CSV preceded by a metadata
+block of '#' lines carrying the fully resolved configuration; reruns with
+identical configuration and seed are byte identical. Exit codes: 0 success,
+1 usage or configuration error, 2 protocol abort.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from . import __version__
-from .config import EXPERIMENT_PRESET, ConfigError, RunConfig
+from .config import ConfigError, RunConfig
 from .experiment import DETECTORS, run_experiment
 from .optimize import optimize_mu, sweep_loss
 from .protocol import run_protocol
@@ -42,58 +42,55 @@ def _metadata(cfg: RunConfig, command: str) -> list[str]:
     return [f"# cowsim {__version__}", f"# command = {command}"] + cfg.metadata_lines()
 
 
-def cmd_keyrate(cfg: RunConfig, out_path) -> int:
+def cmd_keyrate(cfg: RunConfig, args) -> int:
     params = cfg.params()
     res = secret_key_rate(params, cfg.protocol(), cfg.pns_model(), cfg.rate_mode())
     row = (cfg["protocol"], params.v, params.loss_db, res.mu, res.r_s,
            res.qber.q_opt, res.qber.q_det, res.qber.q_total,
            res.eve.r, res.eve.p_ir, res.eve.i_ir, res.eve.i_eve,
            res.eve.feasible, res.r_sk_raw, res.r_sk)
-    lines = _metadata(cfg, "keyrate")
+    lines = _metadata(cfg, args.command)
     lines.append("protocol,v,loss_db,mu,r_s,q_opt,q_det,q_total,"
                  "r,p_ir,i_ir,i_eve,feasible,r_sk_raw,r_sk")
     lines.append(",".join(_fmt(x) for x in row))
-    _emit(out_path, lines)
+    _emit(args.out, lines)
     return 0
 
 
-def cmd_curve(cfg: RunConfig, out_path) -> int:
-    losses = cfg.float_list("loss_grid")
-    if not losses:
-        raise ConfigError("loss_grid is empty")
-    points = sweep_loss(cfg.params(), cfg.protocol_list(), losses,
+def cmd_curve(cfg: RunConfig, args) -> int:
+    points = sweep_loss(cfg.params(), cfg.protocol_list(), cfg.float_list("loss_grid"),
                         cfg.pns_model(), cfg.optimization_spec(),
                         visibilities=cfg.float_list("visibilities"),
                         mode=cfg.rate_mode())
-    lines = _metadata(cfg, "curve")
+    lines = _metadata(cfg, args.command)
     lines.append("protocol,V,loss_db,mu_star,r_sk")
     for p in points:
         lines.append(",".join(_fmt(x) for x in (
             p.protocol.value, p.v, p.loss_db, p.mu_star, p.r_sk_star)))
-    _emit(out_path, lines)
+    _emit(args.out, lines)
     return 0
 
 
-def cmd_optimize(cfg: RunConfig, out_path) -> int:
+def cmd_optimize(cfg: RunConfig, args) -> int:
     opt = optimize_mu(cfg.params(), cfg.protocol(), cfg.pns_model(),
                       cfg.optimization_spec(), cfg.rate_mode())
-    lines = _metadata(cfg, "optimize")
+    lines = _metadata(cfg, args.command)
     lines.append("protocol,v,loss_db,mu_star,r_s,q_total,i_eve,r_sk_raw,r_sk,all_zero")
     k = opt.keyrate
     lines.append(",".join(_fmt(x) for x in (
         cfg["protocol"], cfg["v"], cfg["loss_db"], opt.mu_star, k.r_s,
         k.qber.q_total, k.eve.i_eve, k.r_sk_raw, k.r_sk, opt.all_zero)))
-    _emit(out_path, lines)
+    _emit(args.out, lines)
     return 0
 
 
-def cmd_simulate(cfg: RunConfig, out_path, dump_events=None) -> int:
+def cmd_simulate(cfg: RunConfig, args) -> int:
     attack = cfg.attack_config()
     report = run_protocol(cfg.optics(), cfg["n_symbols"], cfg["seed"],
                           attack=attack,
                           tolerance_sigmas=cfg["tolerance_sigmas"],
                           protocol=cfg.protocol(), model=cfg.pns_model())
-    lines = _metadata(cfg, "simulate")
+    lines = _metadata(cfg, args.command)
     p_ir = attack.p_ir if attack.is_active() else 0.0
     pred_v, pred_i = predicted_signature(cfg.params(), p_ir, cfg.protocol(),
                                          cfg.pns_model())
@@ -114,22 +111,21 @@ def cmd_simulate(cfg: RunConfig, out_path, dump_events=None) -> int:
         est.i_eve, dist.shrink_fraction, dist.n_secret,
         dist.n_secret / n, sim.empirical_r,
         sim.monitoring_rate_per_pulse, pred_v, pred_i)))
-    _emit(out_path, lines)
-    if dump_events:
+    _emit(args.out, lines)
+    if args.dump_events:
         ev = _metadata(cfg, "simulate-events")
         ev.append("detector,sequence_index,slot_index")
         rec = sim.record
         for name, g in (("D_B", rec.d_b), ("D_M1", rec.d_m1), ("D_M2", rec.d_m2)):
             for s, sl in zip((g >> 1).tolist(), (g & 1).tolist()):
                 ev.append(f"{name},{s},{sl}")
-        _emit(dump_events, ev)
+        _emit(args.dump_events, ev)
     return 2 if est.abort else 0
 
 
-def cmd_experiment(cfg: RunConfig, out_path) -> int:
-    cfg.resolve_experiment_visibility()
+def cmd_experiment(cfg: RunConfig, args) -> int:
     result = run_experiment(cfg.experiment(), cfg["seed"])
-    lines = _metadata(cfg, "experiment")
+    lines = _metadata(cfg, args.command)
     lines.append(f"# raw_rate_hz = {_fmt(result.raw_rate_hz)}")
     for name in DETECTORS:
         lines.append(f"# rate_hz_{name} = {_fmt(result.rate_hz[name])}")
@@ -141,53 +137,50 @@ def cmd_experiment(cfg: RunConfig, out_path) -> int:
     for name in DETECTORS:
         for slot_time, count in zip(result.slot_times_ns, result.counts[name]):
             lines.append(f"{_fmt(float(slot_time))},{name},{int(count)}")
-    _emit(out_path, lines)
+    _emit(args.out, lines)
     return 0
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="flat key = value configuration file")
-    sub.add_argument("--set", action="append", metavar="KEY=VALUE",
-                     help="override one configuration key (repeatable)")
-    sub.add_argument("--seed", type=int, help="random seed")
-    sub.add_argument("--out", help="output path (default: stdout)")
-    sub.add_argument("--protocol", choices=["cow", "bb84-decoy", "bb84"])
-    sub.add_argument("--pns-model", dest="pns_model",
-                     choices=["printed", "alt", "error-free"])
+COMMANDS = {"keyrate": cmd_keyrate, "curve": cmd_curve, "optimize": cmd_optimize,
+            "simulate": cmd_simulate, "experiment": cmd_experiment}
+
+# each dedicated flag is a shorthand for --set KEY=VALUE, checked the same way
+FLAGS = {"--seed": "seed", "--protocol": "protocol", "--pns-model": "pns_model"}
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a configuration error: one line, exit code 1."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cowsim",
         description="Simulator and key-rate analysis for one-way time-bin QKD")
     parser.add_argument("--version", action="version", version=f"cowsim {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in ("keyrate", "curve", "optimize", "simulate", "experiment"):
+    for name in COMMANDS:
         sub = subs.add_parser(name)
-        _add_common(sub)
+        sub.add_argument("--config", help="flat key = value configuration file")
+        sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                         help="override one configuration key (repeatable)")
+        sub.add_argument("--out", help="output path (default: stdout)")
+        for flag, key in FLAGS.items():
+            sub.add_argument(flag, dest=key, help=f"same as --set {key}=VALUE")
         if name == "simulate":
             sub.add_argument("--dump-events", dest="dump_events",
                              help="also write per-click events to this path")
-
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         # the dedicated flags are the last overrides
-        flags = [f"{key}={value}" for key, value in (
-            ("seed", args.seed), ("protocol", args.protocol),
-            ("pns_model", args.pns_model)) if value is not None]
-        cfg = RunConfig.from_sources(
-            args.config, (args.set or []) + flags,
-            EXPERIMENT_PRESET if args.command == "experiment" else None)
-        if args.command == "keyrate":
-            return cmd_keyrate(cfg, args.out)
-        if args.command == "curve":
-            return cmd_curve(cfg, args.out)
-        if args.command == "optimize":
-            return cmd_optimize(cfg, args.out)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, args.out, args.dump_events)
-        return cmd_experiment(cfg, args.out)
-    except (ConfigError, ValueError, OSError) as exc:
+        flags = [f"{key}={getattr(args, key)}" for key in FLAGS.values()
+                 if getattr(args, key) is not None]
+        cfg = RunConfig.from_sources(args.config, args.set + flags,
+                                     experiment=args.command == "experiment")
+        return COMMANDS[args.command](cfg, args)
+    except (ValueError, OSError) as exc:
         print(f"cowsim: error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,7 +10,7 @@ from .rates import PnsKind, PnsModel, Protocol, ProtocolParams, RateMode
 from .simulation import OpticsConfig
 from .optimize import OptimizationSpec
 from .attacks import AttackConfig, AttackKind
-from .experiment import ExperimentConfig
+from .experiment import FRAME_PATTERNS, ExperimentConfig
 
 __all__ = ["ConfigError", "RunConfig", "EXPERIMENT_PRESET"]
 
@@ -19,13 +19,23 @@ class ConfigError(ValueError):
     pass
 
 
-def _member(kind, what: str, name: str):
-    """The member of the enum `kind` whose value is name."""
-    try:
-        return kind(name)
-    except ValueError:
-        raise ConfigError(f"unknown {what} {name!r} "
-                          f"(use {'|'.join(m.value for m in kind)})") from None
+def _member(what: str, names):
+    """A parser admitting only the given names; it stores the text."""
+    def parse(text: str) -> str:
+        if text not in names:
+            raise ConfigError(f"unknown {what} {text!r} (use {'|'.join(names)})")
+        return text
+    return parse
+
+
+def _items(parse):
+    """A parser checking each comma-separated item; it stores the text."""
+    def parse_all(text: str) -> str:
+        for item in text.split(","):
+            if item.strip():
+                parse(item.strip())
+        return text
+    return parse_all
 
 
 def _bool(text: str) -> bool:
@@ -36,7 +46,10 @@ def _bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
-# key -> (default, parser)
+EXPERIMENT_VISIBILITIES = {"raw": 0.92, "net": 0.98}
+_PROTOCOL = _member("protocol", [p.value for p in Protocol])
+
+# key -> (default, parser); each value is checked by its key's parser when set
 DEFAULTS = {
     "mu": (0.5, float),
     "loss_db": (0.0, float),
@@ -50,26 +63,27 @@ DEFAULTS = {
     "gate_ns": (25.0, float),
     "deadtime_ns": (0.0, float),
     "background": (0.0, float),
-    "protocol": ("cow", str),
-    "protocols": ("cow,bb84-decoy,bb84", str),
-    "pns_model": ("printed", str),
+    "protocol": ("cow", _PROTOCOL),
+    "protocols": ("cow,bb84-decoy,bb84", _items(_PROTOCOL)),
+    "pns_model": ("printed", _member("pns model", [k.value for k in PnsKind])),
     "pns_clamp": (True, _bool),
-    "rate_mode": ("linearized", str),
+    "rate_mode": ("linearized", _member("rate mode", [m.value for m in RateMode])),
     "n_symbols": (100000, int),
     "seed": (12345, int),
-    "attack": ("none", str),
+    "attack": ("none", _member("attack", [k.value for k in AttackKind])),
     "p_ir": (0.0, float),
     "tolerance_sigmas": (3.0, float),
     "mu_min": (1e-4, float),
     "mu_max": (1.0, float),
     "grid_points": (2000, int),
     "refine_tolerance": (1e-6, float),
-    "loss_grid": ("0,5,10,15,20,25,30,35,40,45,50", str),
-    "visibilities": ("1.0,0.9,0.8", str),
+    "loss_grid": ("0,5,10,15,20,25,30,35,40,45,50", _items(float)),
+    "visibilities": ("1.0,0.9,0.8", _items(float)),
     "n_frames": (600000, int),
     "frame_period_ns": (1e9 / 600e3, float),
-    "frame_pattern": ("D010", str),
-    "experiment_visibility": ("raw", str),
+    "frame_pattern": ("D010", _member("frame pattern", FRAME_PATTERNS)),
+    "experiment_visibility": ("raw", _member("experiment visibility",
+                                             EXPERIMENT_VISIBILITIES)),
 }
 
 # proof-of-principle bundle: 434 MHz pulse clock, 600 kHz sequence clock,
@@ -90,7 +104,20 @@ EXPERIMENT_PRESET = {
     "frame_pattern": "D010",
 }
 
-EXPERIMENT_VISIBILITIES = {"raw": 0.92, "net": 0.98}
+
+def _read_file(path: str) -> list[tuple[str, str]]:
+    """The (key, text) pairs of a flat key = value file, in order."""
+    pairs = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            text = line.split("#", 1)[0].strip()
+            if not text:
+                continue
+            if "=" not in text:
+                raise ConfigError(f"{path}:{lineno}: expected key = value")
+            key, _, val = text.partition("=")
+            pairs.append((key.strip(), val.strip()))
+    return pairs
 
 
 class RunConfig:
@@ -98,49 +125,38 @@ class RunConfig:
 
     def __init__(self):
         self.values = {k: d for k, (d, _) in DEFAULTS.items()}
-        self.explicit: set[str] = set()
 
     @classmethod
     def from_sources(cls, path: str | None = None,
                      overrides: list[str] | None = None,
-                     preset: dict | None = None) -> "RunConfig":
-        """Resolve defaults, then the preset, then the file, then each
-        key=value override in order; later sources win."""
+                     experiment: bool = False) -> "RunConfig":
+        """Resolve defaults, then the experiment preset, then the file, then
+        each key=value override in order; later sources win. The experiment
+        takes v from experiment_visibility unless v was given."""
         cfg = cls()
-        for key, value in (preset or {}).items():
-            cfg.set(key, value, raw=False, explicit=False)
-        if path:
-            cfg.load_file(path)
+        for key, value in (EXPERIMENT_PRESET if experiment else {}).items():
+            cfg.set(key, value)
+        given = _read_file(path) if path else []
         for item in overrides or []:
             if "=" not in item:
                 raise ConfigError(f"--set expects key=value, got {item!r}")
             key, _, val = item.partition("=")
-            cfg.set(key.strip(), val.strip())
+            given.append((key.strip(), val.strip()))
+        for key, text in given:
+            cfg.set(key, text)
+        if experiment and "v" not in dict(given):
+            cfg.set("v", EXPERIMENT_VISIBILITIES[cfg["experiment_visibility"]])
         return cfg
 
-    def set(self, key: str, value, raw: bool = True, explicit: bool = True):
+    def set(self, key: str, text):
         if key not in DEFAULTS:
             raise ConfigError(f"unknown configuration key {key!r}")
-        parser = DEFAULTS[key][1]
         try:
-            self.values[key] = parser(value) if raw else value
+            self.values[key] = DEFAULTS[key][1](text)
         except ConfigError:
             raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key}: {exc}") from exc
-        if explicit:
-            self.explicit.add(key)
-
-    def load_file(self, path: str):
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                text = line.split("#", 1)[0].strip()
-                if not text:
-                    continue
-                if "=" not in text:
-                    raise ConfigError(f"{path}:{lineno}: expected key = value")
-                key, _, val = text.partition("=")
-                self.set(key.strip(), val.strip())
 
     def __getitem__(self, key: str):
         return self.values[key]
@@ -160,22 +176,19 @@ class RunConfig:
             background=self["background"])
 
     def protocol(self) -> Protocol:
-        return _member(Protocol, "protocol", self["protocol"])
+        return Protocol(self["protocol"])
 
     def protocol_list(self) -> list[Protocol]:
-        return [_member(Protocol, "protocol", p.strip())
-                for p in self["protocols"].split(",") if p.strip()]
+        return [Protocol(p.strip()) for p in self["protocols"].split(",") if p.strip()]
 
     def pns_model(self) -> PnsModel:
-        return PnsModel(kind=_member(PnsKind, "pns model", self["pns_model"]),
-                        clamp=self["pns_clamp"])
+        return PnsModel(kind=PnsKind(self["pns_model"]), clamp=self["pns_clamp"])
 
     def rate_mode(self) -> RateMode:
-        return _member(RateMode, "rate mode", self["rate_mode"])
+        return RateMode(self["rate_mode"])
 
     def attack_config(self) -> AttackConfig:
-        return AttackConfig(kind=_member(AttackKind, "attack", self["attack"]),
-                            p_ir=self["p_ir"])
+        return AttackConfig(kind=AttackKind(self["attack"]), p_ir=self["p_ir"])
 
     def optimization_spec(self) -> OptimizationSpec:
         return OptimizationSpec(
@@ -184,19 +197,7 @@ class RunConfig:
             refine_tolerance=self["refine_tolerance"])
 
     def float_list(self, key: str) -> list[float]:
-        items = [x.strip() for x in self[key].split(",") if x.strip()]
-        try:
-            return [float(x) for x in items]
-        except ValueError as exc:
-            raise ConfigError(f"bad value in {key}: {exc}") from exc
-
-    def resolve_experiment_visibility(self):
-        """Map the raw/net preset selector onto v unless v was set explicitly."""
-        name = self["experiment_visibility"]
-        if name not in EXPERIMENT_VISIBILITIES:
-            raise ConfigError("experiment_visibility must be raw or net")
-        if "v" not in self.explicit:
-            self.set("v", EXPERIMENT_VISIBILITIES[name], raw=False, explicit=False)
+        return [float(x) for x in self[key].split(",") if x.strip()]
 
     def experiment(self) -> ExperimentConfig:
         return ExperimentConfig(

@@ -158,7 +158,7 @@ class TestXiRelation:
         # so the mismatch between the classes is what trips the abort rule
         params = attack_params()
         cfg = OpticsConfig(params=params, insertion_loss=0.0)
-        sim = run_simulation(cfg, 300000, seed=18, attack=ir(1.0))
+        sim = run_simulation(cfg, 300000, seed=18, attack=ir(0.5))
         assert sim.stats.v_10 < sim.stats.v_d
 
 

@@ -5,12 +5,14 @@ import contextlib
 import io
 import subprocess
 import sys
+import types
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cowsim
 import cowsim.simulation
 from cowsim.cli import main
 from cowsim.config import DEFAULTS, ConfigError, RunConfig
@@ -256,6 +258,13 @@ class TestInputValidation:
         ("experiment", "seed=-1"),
         ("optimize", "mu_max=inf"),
         ("curve", "mu_max=inf"),
+        # each key is checked when it is set, whether or not the command reads it
+        ("keyrate", "attack=nope"),
+        ("simulate", "rate_mode=bogus"),
+        ("keyrate", "loss_grid=a,b"),
+        ("experiment", "protocol=zzz"),
+        ("keyrate", "frame_pattern=XYZ"),
+        ("keyrate", "experiment_visibility=foo"),
     ])
     def test_out_of_range_is_one_error_line(self, command, setting):
         code, out, err = run_cli(command, "--set", setting,
@@ -265,6 +274,24 @@ class TestInputValidation:
         assert err.startswith("cowsim: error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("args", [
+        ("keyrate", "--protocol", "xyz"),
+        ("keyrate", "--seed", "abc"),
+        ("keyrate", "--seed"),
+        ("keyrate", "--bogus"),
+        ("nosuch",),
+        (),
+    ], ids=lambda args: " ".join(args) or "no arguments")
+    def test_usage_error_is_one_error_line(self, args):
+        code, out, err = run_cli(*args)
+        assert code == 1 and out == ""
+        assert err.startswith("cowsim: error: ") and err.count("\n") == 1
+
+    def test_version_and_help_exit_0(self):
+        assert run_cli("--version") == (0, "cowsim 0.1.0\n", "")
+        code, out, err = run_cli("keyrate", "--help")
+        assert code == 0 and out.startswith("usage: cowsim keyrate") and err == ""
 
     @pytest.mark.parametrize("args", [
         ("keyrate", "--set", "mu=12"),
@@ -322,6 +349,22 @@ class TestAnySetting:
             assert out.getvalue() == ""
             assert err.getvalue().startswith("cowsim: error: ")
             assert err.getvalue().count("\n") == 1
+        else:
+            # every echoed value is one its key's parser accepts
+            for line in out.getvalue().splitlines():
+                key, _, value = line[2:].partition(" = ")
+                if line.startswith("# ") and key in DEFAULTS:
+                    RunConfig.from_sources(None, [f"{key}={value}"])
+
+
+class TestPackage:
+    def test_public_names_are_the_modules_all(self):
+        modules = [cowsim.rates, cowsim.optimize, cowsim.simulation,
+                   cowsim.attacks, cowsim.protocol, cowsim.experiment]
+        names = {n for n, v in vars(cowsim).items()
+                 if not n.startswith("_") and not isinstance(v, types.ModuleType)}
+        assert names == set().union(*(m.__all__ for m in modules))
+        assert len(names) == 58
 
 
 class TestDeterminism:
