@@ -180,7 +180,7 @@ def main(argv=None) -> int:
         cfg = RunConfig.from_sources(args.config, args.set + flags,
                                      experiment=args.command == "experiment")
         return COMMANDS[args.command](cfg, args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"cowsim: error: {exc}", file=sys.stderr)
         return 1
 

@@ -29,8 +29,10 @@ def _member(what: str, names):
 
 
 def _items(parse):
-    """A parser checking each comma-separated item; it stores the text."""
+    """A parser checking each comma-separated item; it stores the one-line text."""
     def parse_all(text: str) -> str:
+        if "\n" in text or "\r" in text:
+            raise ConfigError(f"a list may not hold a line break: {text!r}")
         for item in text.split(","):
             if item.strip():
                 parse(item.strip())

@@ -17,7 +17,7 @@ monitoring tally here and the one sift and QBER estimator of cowsim.protocol.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,24 +66,27 @@ class SymbolStream:
     """Alice's emitted pulse train, held per two-pulse symbol window.
 
     kinds holds the logical truth (one entry per symbol). Window w carries the
-    pulse amplitudes table[shapes[w]] at phase theta[w]; a clean stream's
-    shapes are its kinds, its table Alice's pulses per kind and its phases 0
-    (theta None). An attack rewrites shapes, table and theta only.
+    pulse amplitudes table[shapes[w]]; a clean stream's shapes are its kinds
+    and its table Alice's pulses per kind. Every window is at phase 0 but the
+    ascending windows `resent`, which Eve resent at one phase each (`phases`);
+    only those may be brighter than Alice's pulses. A clean stream has none.
+    An attack rewrites shapes and table and sets resent and phases only.
     """
 
     kinds: np.ndarray
     mu: float
     shapes: np.ndarray | None = None
     table: np.ndarray | None = None
-    theta: np.ndarray | None = None
+    resent: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    phases: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def __post_init__(self):
         if self.shapes is None:
             a = math.sqrt(self.mu)
             self.shapes, self.table = self.kinds, np.array([[a, 0.0], [0.0, a], [a, a]])
         if self.table is None or len(self.shapes) != len(self.kinds) or (
-                self.theta is not None and len(self.theta) != len(self.kinds)):
-            raise ValueError("shapes need a table, and one shape and phase per window")
+                len(self.phases) != len(self.resent)):
+            raise ValueError("need a table, a shape per window and a phase per resent window")
 
     @property
     def n_symbols(self) -> int:
@@ -98,9 +101,13 @@ class SymbolStream:
         flat += 2 * self.shapes.take(idx >> 1, mode="clip")
         amplitude = self.table.take(flat)
         amplitude[~inside] = 0.0
-        if self.theta is None:
+        if not len(self.resent):
             return amplitude, 0.0
-        return amplitude, np.where(inside, self.theta.take(idx >> 1, mode="clip"), 0.0)
+        # a window outside the train is never resent
+        at = np.searchsorted(self.resent, idx >> 1)
+        phase = self.phases.take(at, mode="clip")
+        phase[self.resent.take(at, mode="clip") != idx >> 1] = 0.0
+        return amplitude, phase
 
 
 @dataclass(frozen=True)
@@ -256,9 +263,10 @@ def _boosted_slots(stream: SymbolStream) -> tuple:
     """Ascending D_B and monitor slots touching a window brighter than Alice's
     pulses: its two pulse slots, and on the monitor ports also the boundary
     slot on either side. Every other slot sees pulses no brighter than
-    sqrt(mu)."""
+    sqrt(mu); only a resent window can be brighter, so the short list of
+    resent windows is all that is read."""
     bright = stream.table.max(axis=1) > math.sqrt(stream.mu)
-    windows = np.flatnonzero(bright[stream.shapes]) if bright.any() else np.empty(0, int)
+    windows = stream.resent[bright[stream.shapes[stream.resent]]]
     data = (2 * windows[:, None] + np.arange(2)).ravel()
     monitor = (2 * windows[:, None] + np.arange(3)).ravel()
     # adjacent windows share the boundary slot between them

@@ -23,9 +23,10 @@ from cowsim import (
     predicted_signature,
     run_protocol,
     run_simulation,
+    simulate_stream,
     xi,
 )
-from cowsim.simulation import BIT0, BIT1, DECOY, SymbolStream, stage_rng
+from cowsim.simulation import BIT0, BIT1, DECOY, SymbolStream, _candidates, stage_rng
 
 # attack study configuration: mu t = 0.05 with a strong monitoring tap and a
 # lossless interferometer so the class estimates carry real statistics
@@ -55,8 +56,11 @@ def data_click_probs(params, p_ir):
 
 def dense_attacked_train(kinds, mu, config, params, rng):
     """Every pulse's (amplitude, phase) of Alice's train after the attack,
-    built pulse by pulse from the attack's draws (attack mask, window phase,
-    two pulse detections): the reference the window lookup must reproduce."""
+    built pulse by pulse from the attack's draws: the attack mask (one uniform
+    per window), Eve's detections (one Bernoulli(1 - exp(-mu t)) process over
+    the pulses of the attacked windows in train order, a detection on an
+    empty pulse dropped) and one phase per resent window in window order. The
+    reference the window lookup must reproduce."""
     n, a = len(kinds), math.sqrt(mu)
     amplitudes = np.zeros(2 * n)
     amplitudes[0::2][kinds != BIT1] = a
@@ -67,19 +71,53 @@ def dense_attacked_train(kinds, mu, config, params, rng):
         return amplitudes, phases
     boost = 1.0 / (p_det * (2.0 - p_det))
     attacked = rng.random(n) < config.p_ir
-    theta = rng.random(n) * (2.0 * math.pi)
-    u = rng.random((n, 2))
+    attacked_pulses = np.flatnonzero(np.repeat(attacked, 2))
+    detected = np.zeros(2 * n, dtype=bool)
+    detected[attacked_pulses[_candidates(rng, p_det, len(attacked_pulses))]] = True
+    detected &= amplitudes > 0.0
+    det = [detected[0::2], detected[1::2]]
+    resent = det[0] | det[1]
+    theta = np.zeros(n)
+    theta[resent] = rng.random(np.count_nonzero(resent)) * (2.0 * math.pi)
     first, second = amplitudes[0::2], amplitudes[1::2]
-    det = [attacked & (first > 0.0) & (u[:, 0] < p_det),
-           attacked & (second > 0.0) & (u[:, 1] < p_det)]
     guess_bit = (1.0 - params.f) / 2.0 >= params.f * (1.0 - p_det)
     for i, pulse in enumerate((first, second)):
         pulse[attacked] = 0.0  # vacuum unless Eve resends
         pulse[det[0] & det[1]] = math.sqrt(boost * mu)
         single = det[i] & ~det[1 - i] if guess_bit else det[0] ^ det[1]
         pulse[single] = math.sqrt((2.0 if guess_bit else 1.0) * boost * mu)
-        phases[i::2][det[0] | det[1]] = theta[det[0] | det[1]]
+        phases[i::2][resent] = theta[resent]
     return amplitudes, phases
+
+
+def dense_intercept_resend(stream, config, params, rng):
+    """The attack with the earlier dense draw layout: for every window an
+    attack uniform, a phase and two detection uniforms. Returns the attacked
+    stream in the sparse layout, Eve's conclusive count and her known bits:
+    the reference for the statistics of the sparse draw."""
+    n, mu, kinds = stream.n_symbols, stream.mu, stream.kinds
+    p_det = -math.expm1(-mu * params.t)
+    boost = 1.0 / (p_det * (2.0 - p_det))
+    attacked = rng.random(n) < config.p_ir
+    theta = rng.random(n) * (2.0 * math.pi)
+    u = rng.random((n, 2))
+    det_first = attacked & (kinds != BIT1) & (u[:, 0] < p_det)
+    det_second = attacked & (kinds != BIT0) & (u[:, 1] < p_det)
+    guess_bit = (1.0 - params.f) / 2.0 >= params.f * (1.0 - p_det)
+    a_pair, a_single = math.sqrt(boost * mu), math.sqrt(2.0 * boost * mu)
+    rows = [[0.0, 0.0], [a_pair, a_pair]]
+    rows += [[a_single, 0.0], [0.0, a_single]] if guess_bit else []
+    vacuum, pair, first, second = range(3, 7)
+    shapes = kinds.astype(np.uint8)
+    shapes[attacked] = vacuum
+    shapes[det_first | det_second] = pair
+    if guess_bit:
+        shapes[det_first & ~det_second] = first
+        shapes[det_second & ~det_first] = second
+    resent = np.flatnonzero(det_first | det_second)
+    out = SymbolStream(kinds, mu, shapes=shapes, table=np.vstack((stream.table, rows)),
+                       resent=resent, phases=theta[resent])
+    return out, len(resent), int(np.count_nonzero(kinds[resent] != DECOY))
 
 
 class TestStreamTransform:
@@ -138,6 +176,46 @@ class TestStreamTransform:
         cfg = OpticsConfig(params=params, insertion_loss=0.0)
         sim = run_simulation(cfg, 20000, seed=4, attack=ir(1.0))
         assert sim.stats.v_d == pytest.approx(1.0, abs=1e-12)
+
+
+class TestSparseAgainstDenseDraw:
+    """The sparse draw of Eve's detections and phases has the statistics of
+    the dense per-window draw: two independent samples of seeds agree."""
+
+    N_SEEDS = 100
+
+    def sample(self, params, n, seed, dense):
+        # one seed's counts under a half intercept-resend attack
+        attack, cfg = ir(0.5), OpticsConfig(params=params, insertion_loss=0.0)
+        stream = generate_symbols(n, params.f, params.mu, seed)
+        if dense:
+            out, conclusive, known = dense_intercept_resend(stream, attack, params,
+                                                            stage_rng(seed, 2))
+        else:
+            out, log = apply_intercept_resend(stream, attack, params, stage_rng(seed, 2))
+            conclusive, known = log.eve_conclusive, log.eve_known_bits
+        sim = simulate_stream(cfg, out, seed)
+        st = sim.stats
+        return [st.n_m1_10, st.n_m2_10, st.n_m1_d, st.n_m2_d, conclusive, known,
+                len(sim.record.d_b)]
+
+    @pytest.mark.parametrize("over", [
+        dict(),  # mu t = 0.05: single clicks dominate, resent as the guessed bit
+        dict(loss_db=0.0),  # mu t = 0.5: many decoys resent as pairs
+        dict(loss_db=3.0, f=0.6),  # decoys dominate: a single click is resent as a pair
+    ], ids=["10dB", "0dB", "pair-guess"])
+    def test_counts_agree(self, over):
+        params, n = attack_params(**over), 20000
+        # the dense sample takes the next seeds, so the samples are independent
+        sparse, dense = (np.array([self.sample(params, n, seed, d)
+                                   for seed in range(self.N_SEEDS * d,
+                                                     self.N_SEEDS * (d + 1))])
+                         for d in (False, True))
+        gap = sparse.mean(axis=0) - dense.mean(axis=0)
+        se = np.sqrt((sparse.var(axis=0, ddof=1) + dense.var(axis=0, ddof=1)) / self.N_SEEDS)
+        # a count that is 0 on every seed (no D_M2 click inside a coherent
+        # pair at v = 1 and p_d = 0) must be 0 in both samples
+        assert np.all(np.abs(gap) <= 4.0 * se), (gap, se)
 
 
 class TestXiRelation:

@@ -265,6 +265,10 @@ class TestInputValidation:
         ("experiment", "protocol=zzz"),
         ("keyrate", "frame_pattern=XYZ"),
         ("keyrate", "experiment_visibility=foo"),
+        # a line break in a list would break the metadata block that echoes it
+        ("curve", "protocols=cow,\nbb84"),
+        ("curve", "loss_grid=0,\n5"),
+        ("curve", "visibilities=1.0,\r0.8"),
     ])
     def test_out_of_range_is_one_error_line(self, command, setting):
         code, out, err = run_cli(command, "--set", setting,
@@ -274,6 +278,14 @@ class TestInputValidation:
         assert err.startswith("cowsim: error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_unallocatable_request_is_one_error_line(self):
+        # a 1e17 ns gate asks for about 4 PiB of candidate slots: more than a
+        # 64-bit process can address, so numpy refuses it before allocating
+        code, out, err = run_cli("experiment", "--set", "n_frames=1", "--set", "gate_ns=1e17",
+                                 "--set", "frame_period_ns=1e18")
+        assert code == 1 and out == ""
+        assert err.startswith("cowsim: error: Unable to allocate") and err.count("\n") == 1
 
     @pytest.mark.parametrize("args", [
         ("keyrate", "--protocol", "xyz"),

@@ -19,7 +19,16 @@ kept its hash. simulate_no_decoy_abort pins the bytes of an aborted run.
 simulate_bb84_intercept_resend pins the predicted signature of an attacked
 BB84 run (predicted_v = 0.8625): there the intercept-resend relation is the
 interferometric one, I = (1 - r) p_ir / 2 and 1 - V = I, where every other
-attacked case is time-basis COW with 1 - V = I xi."""
+attacked case is time-basis COW with 1 - V = I xi.
+
+Both attacked cases, simulate_dump_events and simulate_bb84_intercept_resend,
+were regenerated when the attack stopped drawing a phase and two detection
+uniforms for every window: after the dense attack mask it now draws Eve's
+detections as one Bernoulli(1 - exp(-mu t)) process over the pulses of the
+attacked windows, and one phase per resent window. The distribution of the
+attacked stream is unchanged (a two-sample test in test_attacks.py compares
+it with the dense draw); the exit codes stay 0 and 2. Clean streams draw
+nothing from the attack stage, so every other case kept its hash."""
 
 import hashlib
 
@@ -48,8 +57,8 @@ GOLDEN = {
          "--set", "attack=intercept-resend", "--set", "p_ir=1.0",
          "--set", "t_b=0.5", "--set", "eta=0.25", "--set", "f=0.3",
          "--set", "p_d=1e-4", "--dump-events", "{tmp}/events.csv"], 0,
-        {"out.csv": "4e86a8d2169df06dc170a977bc78fbdb5bf8a82f9d4d36701ad8be631169a72e",
-         "events.csv": "cc356d7bbcffda81cf04ccb530a5313d32efe24f618945da12f13e6a3f397226"}),
+        {"out.csv": "475f562de8b1314ad83a43dc3c0f66c93d09dc730e8b05836083173afee6cb1e",
+         "events.csv": "5e89c5e3b7be629e6e82e612d90a6023ee7a081a90f0c7779ec930eb16f6bdcb"}),
     "simulate_deadtime": (
         ["simulate", "--set", "n_symbols=40000", "--seed", "4",
          "--set", "mu=2.0", "--set", "eta=0.5", "--set", "p_d=1e-3",
@@ -70,7 +79,7 @@ GOLDEN = {
         ["simulate", "--set", "n_symbols=20000", "--seed", "5", "--protocol", "bb84",
          "--pns-model", "alt", "--set", "attack=intercept-resend", "--set", "p_ir=0.5",
          "--set", "loss_db=10"], 2,
-        {"out.csv": "1f5528cbbf5338123b957f42a04685b1ed3611f20d229676934f5bf04f301be5"}),
+        {"out.csv": "eda37bf8923ea635eab0d32bdf88ed93bb13998b25e2861aae2c7d20540b4aae"}),
 }
 
 

@@ -263,7 +263,7 @@ class TestSparseSampler:
         eve = [[0.0, 0.0], [pair, pair], [single, 0.0], [0.0, single]]
         stream = SymbolStream(kinds, 1.0, shapes=np.array([2, 6, 2, 5, 4, 1], dtype=np.uint8),
                               table=np.vstack((SymbolStream(kinds, 1.0).table, eve)),
-                              theta=np.array([0.0, 1.5, 0.0, 4.7, 3.0, 0.0]))
+                              resent=np.array([1, 3, 4]), phases=np.array([1.5, 4.7, 3.0]))
         assert _boosted_slots(stream)[1].tolist() == [2, 3, 4, 6, 7, 8, 9, 10]
         self.assert_stream_exact(cfg, stream, per_slot=True)
 
@@ -304,12 +304,13 @@ class TestSparseSampler:
            il=st.floats(0.0, 0.99), bg=st.floats(0.0, 0.1))
     def test_bound_holds_at_every_slot(self, windows, rows, mu, loss_db, t_b, eta, p_d,
                                        v, il, bg):
-        # windows index Alice's three rows or three arbitrary ones at random phases
+        # windows index Alice's three rows or three arbitrary ones at random
+        # phases; every window carries a phase, so every window is listed
         kinds, shapes, theta = (np.array(c) for c in zip(*windows))
         kinds = kinds.astype(np.int8)
         table = np.vstack((SymbolStream(kinds, mu).table, np.reshape(rows, (3, 2))))
         stream = SymbolStream(kinds, mu, shapes=shapes.astype(np.uint8), table=table,
-                              theta=theta)
+                              resent=np.arange(len(kinds)), phases=theta)
         cfg = OpticsConfig(params=params(loss_db=loss_db, t_b=t_b, eta=eta, p_d=p_d, v=v),
                            insertion_loss=il, background=bg)
         bounds = zip(dense_click_probabilities(cfg, *dense_train(stream)),
@@ -341,6 +342,24 @@ class TestRunSimulation:
             tracemalloc.stop()
         assert len(sim.record.d_b) == len(sim.record.d_m1) == len(sim.record.d_m2) == 0
         assert peak < 2 * n
+
+    def test_attacked_stream_keeps_no_per_window_float(self):
+        # what an attacked stream holds beyond kinds: a one-byte shape code per
+        # window, and an index and a phase per resent window (a few percent)
+        n = 1_000_000
+        p = params(loss_db=10.0)
+        stream = generate_symbols(n, p.f, p.mu, seed=6)
+        attack = AttackConfig(kind=AttackKind.INTERCEPT_RESEND, p_ir=0.5)
+        tracemalloc.start()
+        try:
+            out, log = apply_intercept_resend(stream, attack, p, stage_rng(6, 2))
+            n_resent = log.eve_conclusive
+            del log  # the attacked-window list belongs to the log
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 0 < n_resent < 0.05 * n and len(out.phases) == n_resent
+        assert kept < 2 * n + 16 * n_resent + 4096
 
     def test_rates_match_closed_forms(self):
         p = params(v=0.92)
