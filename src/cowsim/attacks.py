@@ -51,12 +51,12 @@ class AttackConfig:
 
 @dataclass
 class AttackLog:
-    attacked_windows: np.ndarray
+    n_attacked: int
     eve_conclusive: int
     eve_known_bits: int
 
     def __post_init__(self):
-        if self.eve_conclusive > len(self.attacked_windows):
+        if self.eve_conclusive > self.n_attacked:
             raise ValueError("conclusive count cannot exceed attacked count")
 
 
@@ -76,7 +76,7 @@ def apply_intercept_resend(stream: SymbolStream, config: AttackConfig,
     n = stream.n_symbols
     p_det = -math.expm1(-stream.mu * params.t)
     if not config.is_active() or p_det <= 0.0:
-        return stream, AttackLog(np.empty(0, dtype=np.int64), 0, 0)
+        return stream, AttackLog(0, 0, 0)
     # restores Bob's expected intensity per window across Eve's outcome mix
     boost = 1.0 / (p_det * (2.0 - p_det))
 
@@ -113,7 +113,7 @@ def apply_intercept_resend(stream: SymbolStream, config: AttackConfig,
     shapes[resent] = np.where(both | (not guess_bit), pair, single + pulse[first])
     phases = rng.random(len(resent)) * (2.0 * math.pi)
 
-    log = AttackLog(attacked_windows=windows, eve_conclusive=len(resent),
+    log = AttackLog(n_attacked=len(windows), eve_conclusive=len(resent),
                     eve_known_bits=int(np.count_nonzero(stream.kinds[resent] != DECOY)))
     return SymbolStream(kinds=stream.kinds, mu=stream.mu, shapes=shapes,
                         table=np.vstack((stream.table, rows)), resent=resent,

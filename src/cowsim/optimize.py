@@ -3,6 +3,9 @@
 The objective R_sk(mu) can develop kinks and flat-zero regions where the PNS
 fraction or the required intercept-resend fraction saturates, so a coarse grid
 scan locates the winning basin before a golden-section refinement polishes it.
+Points that differ only in loss and visibility are one batch: the grid scan
+runs per point, the refinement runs once, elementwise over the batch, and a
+curve is one batch per protocol.
 """
 
 from __future__ import annotations
@@ -74,57 +77,74 @@ class RobustnessResult:
     bb84_decoy_ratio: float
 
 
-def optimize_mu(params: ProtocolParams, protocol: Protocol = Protocol.COW,
-                model: PnsModel = PnsModel(),
-                spec: OptimizationSpec = OptimizationSpec(),
-                mode: RateMode = RateMode.LINEARIZED) -> OptimizeResult:
-    """Maximize the clamped secret-key rate over mu in [mu_min, mu_max].
+def _optimize(batch: Sequence[ProtocolParams], protocol: Protocol, model: PnsModel,
+              spec: OptimizationSpec, mode: RateMode):
+    """(mu*, r_sk at mu*, all_zero) lists for points that differ only in
+    loss_db and v.
 
-    Grid scan, then golden-section refinement inside the best grid cell's
-    neighborhood. Ties break toward smaller mu (fewer multi-photon pulses).
-    Deterministic for a fixed spec.
+    Grid scan per point, then one golden-section refinement inside each best
+    grid cell's neighborhood, elementwise over the batch; a point's bracket
+    freezes when it stops shrinking. Ties break toward smaller mu (fewer
+    multi-photon pulses). Deterministic for a fixed spec.
     """
+    if not batch:
+        return [], [], []
+    t = np.array([[p.t] for p in batch])
+    v = np.array([[p.v] for p in batch])
+
     def f(mu):
-        return np.maximum(_keyrate(params, mu, protocol, model, mode)[-1], 0.0)
+        raw = _keyrate(batch[0], mu[:, None], protocol, model, mode, t, v)[-1][:, 0]
+        return np.maximum(raw, 0.0), raw
 
     grid = np.linspace(spec.mu_min, spec.mu_max, spec.grid_points)
-    vals = f(grid)
-    if not np.any(vals > 0.0):
-        result = secret_key_rate(replace(params, mu=spec.mu_min), protocol, model, mode)
-        return OptimizeResult(mu_star=spec.mu_min, keyrate=result, all_zero=True)
-
-    i = int(np.argmax(vals))  # first max: smallest-mu tie break on the grid
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, len(grid) - 1)]
+    i, best_val = np.empty(len(batch), dtype=int), np.empty(len(batch))
+    # one point at a time: a (points, grid) block would multiply the peak memory
+    for n, p in enumerate(batch):
+        row = np.maximum(_keyrate(p, grid, protocol, model, mode)[-1], 0.0)
+        i[n] = np.argmax(row)  # first max: smallest mu on the grid
+        best_val[n] = row[i[n]]
+    all_zero = ~(best_val > 0.0)
+    best_mu = grid[i]
+    a = grid[np.maximum(i - 1, 0)]
+    b = grid[np.minimum(i + 1, len(grid) - 1)]
 
     # golden-section maximization; >= keeps the left interval on ties
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc = float(f(c))
-    fd = float(f(d))
-    best_mu, best_val = float(grid[i]), float(vals[i])
-    width = math.inf
+    fc, fd = f(c)[0], f(d)[0]
+    width = np.full(len(batch), math.inf)
     # a tolerance below the float spacing at mu* would stall the bracket
-    while spec.refine_tolerance < b - a < width:
-        width = b - a
-        for mu_cand, val_cand in ((c, fc), (d, fd)):
-            if val_cand > best_val or (val_cand == best_val and mu_cand < best_mu):
-                best_mu, best_val = float(mu_cand), float(val_cand)
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = float(f(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = float(f(d))
+    run = ~all_zero & (spec.refine_tolerance < b - a)
+    while np.any(run):
+        width = np.where(run, b - a, width)
+        for mu_x, f_x in ((c, fc), (d, fd)):
+            up = run & ((f_x > best_val) | ((f_x == best_val) & (mu_x < best_mu)))
+            best_mu, best_val = np.where(up, mu_x, best_mu), np.where(up, f_x, best_val)
+        left = run & (fc >= fd)  # b, d, fd = d, c, fc; then a new c
+        right = run & ~left  # a, c, fc = c, d, fd; then a new d
+        a, b = np.where(right, c, a), np.where(left, d, b)
+        c, d, fc, fd = (np.where(left, b - _INV_PHI * (b - a), np.where(right, d, c)),
+                        np.where(right, a + _INV_PHI * (b - a), np.where(left, c, d)),
+                        np.where(right, fd, fc), np.where(left, fc, fd))
+        f_new = f(np.where(left, c, d))[0]
+        fc, fd = np.where(left, f_new, fc), np.where(right, f_new, fd)
+        run &= (spec.refine_tolerance < b - a) & (b - a < width)
     mid = 0.5 * (a + b)
-    fm = float(f(mid))
-    if fm > best_val or (fm == best_val and mid < best_mu):
-        best_mu, best_val = mid, fm
+    fm = f(mid)[0]
+    up = (fm > best_val) | ((fm == best_val) & (mid < best_mu))
+    best_mu = np.where(all_zero, spec.mu_min, np.where(up, mid, best_mu))
+    return best_mu.tolist(), [max(0.0, x) for x in f(best_mu)[1].tolist()], all_zero.tolist()
 
-    result = secret_key_rate(replace(params, mu=best_mu), protocol, model, mode)
-    return OptimizeResult(mu_star=best_mu, keyrate=result, all_zero=False)
+
+def optimize_mu(params: ProtocolParams, protocol: Protocol = Protocol.COW,
+                model: PnsModel = PnsModel(),
+                spec: OptimizationSpec = OptimizationSpec(),
+                mode: RateMode = RateMode.LINEARIZED) -> OptimizeResult:
+    """Maximize the clamped secret-key rate over mu in [mu_min, mu_max]: the
+    batch of one of _optimize, with the full breakdown at mu*."""
+    (mu_star,), _, (all_zero,) = _optimize([params], protocol, model, spec, mode)
+    result = secret_key_rate(replace(params, mu=mu_star), protocol, model, mode)
+    return OptimizeResult(mu_star=mu_star, keyrate=result, all_zero=all_zero)
 
 
 def sweep_loss(params_template: ProtocolParams, protocols: Sequence[Protocol],
@@ -144,15 +164,13 @@ def sweep_loss(params_template: ProtocolParams, protocols: Sequence[Protocol],
         raise ValueError("loss_grid must be strictly ascending")
     if visibilities is None:
         visibilities = [params_template.v]
+    keys = [(v, loss) for v in visibilities for loss in losses]
+    batch = [replace(params_template, loss_db=loss, v=v) for v, loss in keys]
     points = []
     for protocol in protocols:
-        for v in visibilities:
-            for loss in losses:
-                params = replace(params_template, loss_db=loss, v=v)
-                opt = optimize_mu(params, protocol, model, spec, mode)
-                points.append(CurvePoint(
-                    protocol=protocol, v=v, loss_db=loss,
-                    mu_star=opt.mu_star, r_sk_star=opt.keyrate.r_sk))
+        mu_star, r_sk, _ = _optimize(batch, protocol, model, spec, mode)
+        points += [CurvePoint(protocol=protocol, v=v, loss_db=loss, mu_star=m, r_sk_star=r)
+                   for (v, loss), m, r in zip(keys, mu_star, r_sk)]
     return points
 
 
@@ -168,13 +186,10 @@ def visibility_robustness(params_template: ProtocolParams, loss_db: float,
     Each numerator and denominator is separately mu-optimized. A vanishing
     denominator flags the ratio undefined (NaN) rather than raising.
     """
+    batch = [replace(params_template, loss_db=loss_db, v=v) for v in (v_low, v_high)]
     ratios = {}
     for protocol in (Protocol.COW, Protocol.BB84_DECOY):
-        rates = {}
-        for v in (v_low, v_high):
-            params = replace(params_template, loss_db=loss_db, v=v)
-            rates[v] = optimize_mu(params, protocol, model, spec, mode).keyrate.r_sk
-        ratios[protocol] = (rates[v_low] / rates[v_high] if rates[v_high] > 0.0
-                            else float("nan"))
+        _, (low, high), _ = _optimize(batch, protocol, model, spec, mode)
+        ratios[protocol] = low / high if high > 0.0 else float("nan")
     return RobustnessResult(cow_ratio=ratios[Protocol.COW],
                             bb84_decoy_ratio=ratios[Protocol.BB84_DECOY])

@@ -3,7 +3,8 @@
 All functions are pure and side-effect free. One numpy kernel, `_keyrate`,
 composes R_sk = R_s (1 - h(Q) - I_Eve) at a mean photon number that may be an
 array: `secret_key_rate`, `sifted_rate` and `qber` are its float view at
-params.mu, and the optimizer scores whole mu grids with it. The kernel also
+params.mu. The optimizer scores whole mu grids with it, and a batch of points
+at once: t and v may then be (P, 1) columns, one row per point. The kernel also
 decides the model's domain: the linearized counting rate mu t t_B eta may not
 exceed 1, and a dead channel (R_s = 0) has an all-zero QBER.
 """
@@ -149,7 +150,7 @@ class KeyRateResult:
 
 
 # ---------------------------------------------------------------------------
-# numpy kernels: mu may be an array, every other argument is a scalar
+# numpy kernels: mu may be an array, t and v scalars or (P, 1) columns, the rest scalars
 # ---------------------------------------------------------------------------
 
 def _entropy(p):
@@ -162,8 +163,8 @@ def _entropy(p):
     return np.where(inner, h, 0.0)
 
 
-def _counting(mu, params: ProtocolParams, mode: RateMode):
-    x = mu * params.t * params.t_b * params.eta
+def _counting(mu, t, params: ProtocolParams, mode: RateMode):
+    x = mu * t * params.t_b * params.eta
     if mode is RateMode.EXACT:
         return -np.expm1(-x)
     if np.any(x > 1.0):
@@ -192,7 +193,7 @@ def _pns_r(mu, t, model: PnsModel):
     if not np.all(np.isfinite(r)):
         # an infinite r would turn Eve's information into inf or nan
         raise ValueError(f"the unclamped PNS fraction mu/(2t) overflows at "
-                         f"mu = {np.max(mu):.9g}, t = {t:.9g}; set pns_clamp=true")
+                         f"mu = {np.max(mu):.9g}, t = {np.min(t):.9g}; set pns_clamp=true")
     return r
 
 
@@ -217,7 +218,7 @@ def _eve(mu, t, v, protocol: Protocol, model: PnsModel):
     # xi underflows to 0 above mu t of about 745: V = 1 still needs no IR, and
     # any deficit there, or with no room, is infeasible (p_ir = inf)
     with np.errstate(divide="ignore", invalid="ignore"):
-        i_ir_needed = (1.0 - v) / loss if v < 1.0 else 0.0
+        i_ir_needed = np.where(v < 1.0, (1.0 - v) / loss, 0.0)
         p_ir_needed = np.where(i_ir_needed == 0.0, 0.0, scale * i_ir_needed / room)
     feasible = p_ir_needed <= 1.0
     i_ir = np.where(feasible, i_ir_needed, room)
@@ -227,14 +228,17 @@ def _eve(mu, t, v, protocol: Protocol, model: PnsModel):
 
 
 def _keyrate(params: ProtocolParams, mu, protocol: Protocol, model: PnsModel,
-             mode: RateMode):
+             mode: RateMode, t=None, v=None):
     """R_sk = R_s (1 - h(Q) - I_Eve) and its terms at mean photon number mu.
 
-    mu may be an array; every other input is read from params. Returns
+    mu may be an array; t and v default to params' and may be (P, 1) columns
+    that broadcast against mu; every other input is read from params. Returns
     (r_s, q_opt, q_det, eve, raw) with eve the (r, p_ir, i_ir, i_eve,
     feasible) of _eve and raw the unclamped rate.
     """
-    r = _counting(mu, params, mode)
+    t = params.t if t is None else t
+    v = params.v if v is None else v
+    r = _counting(mu, t, params, mode)
     p_s = 1.0 - params.f
     dark = params.p_d * (1.0 - r)
     r_s = (r + 2.0 * dark) * p_s
@@ -245,8 +249,8 @@ def _keyrate(params: ProtocolParams, mu, protocol: Protocol, model: PnsModel,
     if protocol is Protocol.COW:
         q_opt = np.zeros_like(q_det)
     else:
-        q_opt = (1.0 - params.v) / 2.0 * (r / safe)
-    eve = _eve(mu, params.t, params.v, protocol, model)
+        q_opt = (1.0 - v) / 2.0 * (r / safe)
+    eve = _eve(mu, t, v, protocol, model)
     raw = r_s * (1.0 - _entropy(q_opt + q_det) - eve[3])
     return r_s, q_opt, q_det, eve, raw
 
@@ -273,7 +277,7 @@ def counting_rate(params: ProtocolParams, mode: RateMode = RateMode.EXACT) -> fl
     EXACT is the Poissonian 1 - exp(-mu t t_B eta); LINEARIZED is the product
     mu t t_B eta used throughout the rate analysis.
     """
-    return float(_counting(params.mu, params, mode))
+    return float(_counting(params.mu, params.t, params, mode))
 
 
 def monitoring_rate(params: ProtocolParams) -> float:

@@ -144,15 +144,15 @@ class TestStreamTransform:
             out, log = apply_intercept_resend(stream, cfg, attack_params(),
                                               stage_rng(1, 2))
             assert out is stream
-            assert len(log.attacked_windows) == 0
+            assert log.n_attacked == 0
             assert log.eve_conclusive == 0
 
     def test_full_attack_log(self):
         stream = generate_symbols(50000, 0.3, 0.5, seed=2)
         params = attack_params()
         out, log = apply_intercept_resend(stream, ir(1.0), params, stage_rng(2, 2))
-        assert len(log.attacked_windows) == 50000
-        assert log.eve_conclusive <= len(log.attacked_windows)
+        assert log.n_attacked == 50000
+        assert log.eve_conclusive <= log.n_attacked
         p = -math.expm1(-params.mu * params.t)
         n_bits = np.count_nonzero(stream.kinds != DECOY)
         sigma = math.sqrt(n_bits * p * (1 - p))
@@ -307,7 +307,9 @@ class TestDataLineSideEffects:
         # Eve knows every sifted bit that came from a window she resent
         params = attack_params()
         p_ir = 0.5
-        n = 400000
+        # about 43 k sifted bits: the expected fraction, 0.4907, sits 4.4 sd
+        # inside the 0.48 edge of the approx check below
+        n = 10_000_000
         stream = generate_symbols(n, params.f, params.mu, seed=37)
         out, log = apply_intercept_resend(stream, ir(p_ir), params,
                                           stage_rng(37, 2))
@@ -316,8 +318,7 @@ class TestDataLineSideEffects:
         sim = simulate_stream(cfg, out, seed=37)
         from cowsim import sift
         pair = sift(out, sim.record.d_b)
-        attacked = np.zeros(n, dtype=bool)
-        attacked[log.attacked_windows] = True
+        attacked = out.shapes >= 3  # every attacked window has one of Eve's codes
         known = np.count_nonzero(attacked[pair.kept_indices])
         frac = known / len(pair.kept_indices)
         p_un, p_att, mix = data_click_probs(params, p_ir)

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cowsim import (
     OptimizationSpec,
@@ -17,6 +19,7 @@ from cowsim import (
     sweep_loss,
     visibility_robustness,
 )
+from cowsim.optimize import _INV_PHI, _optimize
 from cowsim.rates import _keyrate, secret_key_rate
 
 
@@ -24,6 +27,66 @@ def params(mu=0.5, **over):
     kw = dict(loss_db=0.0, f=0.1, t_b=1.0, eta=0.1, p_d=1e-5, v=1.0)
     kw.update(over)
     return ProtocolParams(mu=mu, **kw)
+
+
+def scalar_optimize(params, protocol, model, spec, mode):
+    """The golden-section search one point at a time, as optimize_mu ran it
+    before the refinement was batched: the reference the batch must reproduce
+    bit for bit. Returns (mu_star, r_sk, all_zero, refinement iterations)."""
+    def f(mu):
+        return np.maximum(_keyrate(params, mu, protocol, model, mode)[-1], 0.0)
+
+    grid = np.linspace(spec.mu_min, spec.mu_max, spec.grid_points)
+    vals = f(grid)
+    if not np.any(vals > 0.0):
+        result = secret_key_rate(replace(params, mu=spec.mu_min), protocol, model, mode)
+        return spec.mu_min, result.r_sk, True, 0
+
+    i = int(np.argmax(vals))
+    a = grid[max(i - 1, 0)]
+    b = grid[min(i + 1, len(grid) - 1)]
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc = float(f(c))
+    fd = float(f(d))
+    best_mu, best_val = float(grid[i]), float(vals[i])
+    width = math.inf
+    iterations = 0
+    while spec.refine_tolerance < b - a < width:
+        iterations += 1
+        width = b - a
+        for mu_cand, val_cand in ((c, fc), (d, fd)):
+            if val_cand > best_val or (val_cand == best_val and mu_cand < best_mu):
+                best_mu, best_val = float(mu_cand), float(val_cand)
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = float(f(c))
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = float(f(d))
+    mid = 0.5 * (a + b)
+    fm = float(f(mid))
+    if fm > best_val or (fm == best_val and mid < best_mu):
+        best_mu, best_val = mid, fm
+    result = secret_key_rate(replace(params, mu=best_mu), protocol, model, mode)
+    return float(best_mu), result.r_sk, False, iterations
+
+
+def bits(mu_star, r_sk, all_zero, *_):
+    return float(mu_star).hex(), float(r_sk).hex(), all_zero
+
+
+def assert_batch_matches_scalar(template, losses, visibilities, protocol, model,
+                                spec=OptimizationSpec(), mode=RateMode.LINEARIZED):
+    """Optimize the (visibility, loss) points as one batch and one by one;
+    return the scalar results once every point agrees bit for bit."""
+    batch = [replace(template, loss_db=loss, v=v) for v in visibilities for loss in losses]
+    want = [scalar_optimize(p, protocol, model, spec, mode) for p in batch]
+    got = list(zip(*_optimize(batch, protocol, model, spec, mode)))
+    assert [bits(*g) for g in got] == [bits(*w) for w in want]
+    return want
 
 
 class TestOptimizeMu:
@@ -76,6 +139,67 @@ class TestOptimizeMu:
         fine = optimize_mu(p, spec=OptimizationSpec(refine_tolerance=1e-300)).mu_star
         ref = optimize_mu(p, spec=OptimizationSpec(refine_tolerance=1e-15)).mu_star
         assert abs(fine - ref) <= 4 * math.ulp(ref)
+
+
+class TestBatchedAgainstScalar:
+    LOSSES = [0.0, 5.0, 10.0, 20.0, 30.0, 45.0]
+
+    def test_all_zero_beside_positive(self):
+        # PNS as printed leaves COW nothing past about 15 dB at V = 0.9
+        want = assert_batch_matches_scalar(params(), [0.0, 20.0, 5.0], [0.9],
+                                           Protocol.COW, PnsModel())
+        assert [w[2] for w in want] == [False, True, False]
+        assert want[1][:2] == (OptimizationSpec().mu_min, 0.0)
+
+    def test_grid_edge_bracket(self):
+        # at p_d = 0, V = 1, t = 1 the optimum sits on mu_max: its bracket is
+        # the grid's last cell, beside points refined in a two-cell bracket
+        spec = OptimizationSpec()
+        want = assert_batch_matches_scalar(params(p_d=0.0), [0.0, 10.0], [1.0, 0.9],
+                                           Protocol.COW, PnsModel(PnsKind.DETECTABLE_ALT))
+        grid = np.linspace(spec.mu_min, spec.mu_max, spec.grid_points)
+        assert want[0][0] >= grid[-2]
+        assert any(w[0] < grid[-2] for w in want)
+
+    def test_rows_stop_at_different_iterations(self):
+        # below the float spacing each bracket stalls about one ulp from its
+        # own mu*, after a number of steps that differs from row to row
+        spec = OptimizationSpec(refine_tolerance=1e-300)
+        want = assert_batch_matches_scalar(params(t_b=0.9), self.LOSSES, [1.0, 0.8],
+                                           Protocol.BB84_DECOY,
+                                           PnsModel(PnsKind.DETECTABLE_ALT), spec)
+        assert len({w[3] for w in want if not w[2]}) > 1
+
+    @pytest.mark.parametrize("mode", list(RateMode))
+    @pytest.mark.parametrize("kind", list(PnsKind))
+    def test_every_kind_and_mode(self, kind, mode):
+        for protocol in Protocol:
+            for tol in (1e-6, 1e-300):
+                assert_batch_matches_scalar(params(t_b=0.9), self.LOSSES, [1.0, 0.9, 0.8],
+                                            protocol, PnsModel(kind),
+                                            OptimizationSpec(refine_tolerance=tol), mode)
+
+    def test_sweep_reports_the_scalar_points(self):
+        losses, vis = [0.0, 10.0, 20.0], [1.0, 0.8]
+        for protocol in Protocol:
+            pts = sweep_loss(params(), [protocol], losses, PnsModel(), visibilities=vis)
+            want = [scalar_optimize(params(loss_db=loss, v=v), protocol, PnsModel(),
+                                    OptimizationSpec(), RateMode.LINEARIZED)
+                    for v in vis for loss in losses]
+            assert [bits(p.mu_star, p.r_sk_star, None) for p in pts] == \
+                [bits(w[0], w[1], None) for w in want]
+
+    @settings(max_examples=40, deadline=None)
+    @given(losses=st.lists(st.floats(0.0, 60.0), min_size=1, max_size=5),
+           visibilities=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+           protocol=st.sampled_from(list(Protocol)), kind=st.sampled_from(list(PnsKind)),
+           mode=st.sampled_from(list(RateMode)), t_b=st.sampled_from([0.9, 1.0]),
+           p_d=st.sampled_from([0.0, 1e-5, 1e-3]), tol=st.sampled_from([1e-6, 1e-300]))
+    def test_random_batches(self, losses, visibilities, protocol, kind, mode, t_b,
+                            p_d, tol):
+        assert_batch_matches_scalar(params(t_b=t_b, p_d=p_d), losses, visibilities,
+                                    protocol, PnsModel(kind),
+                                    OptimizationSpec(refine_tolerance=tol), mode)
 
 
 class TestBruteForceAgreement:
@@ -159,6 +283,9 @@ class TestSweepLoss:
             sweep_loss(params(), [Protocol.COW], [], PnsModel())
         with pytest.raises(ValueError):
             sweep_loss(params(), [Protocol.COW], [5.0, 5.0], PnsModel())
+
+    def test_no_visibilities_no_points(self):
+        assert sweep_loss(params(), [Protocol.COW], [0.0], PnsModel(), visibilities=[]) == []
 
     def test_points_clamped_and_bounded(self):
         from cowsim import OptimizationSpec
