@@ -41,6 +41,10 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class OptimizationSpec:
+    """The mu range [mu_min, mu_max], its scan grid, and the golden-section
+    stop: the refinement of a point ends once its bracket [a, b] is no wider
+    than refine_tolerance * b, a tolerance relative to mu."""
+
     mu_min: float = 1e-4
     mu_max: float = 1.0
     grid_points: int = 2000
@@ -51,8 +55,8 @@ class OptimizationSpec:
             raise ValueError("require 0 < mu_min < mu_max < inf")
         if self.grid_points < 100:
             raise ValueError("grid_points must be >= 100")
-        if not 0.0 < self.refine_tolerance < self.mu_max - self.mu_min:
-            raise ValueError("refine_tolerance must be in (0, mu_max - mu_min)")
+        if not 0.0 < self.refine_tolerance < 1.0:
+            raise ValueError("refine_tolerance must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -114,7 +118,7 @@ def _optimize(batch: Sequence[ProtocolParams], protocol: Protocol, model: PnsMod
     fc, fd = f(c)[0], f(d)[0]
     width = np.full(len(batch), math.inf)
     # a tolerance below the float spacing at mu* would stall the bracket
-    run = ~all_zero & (spec.refine_tolerance < b - a)
+    run = ~all_zero & (spec.refine_tolerance * b < b - a)
     while np.any(run):
         width = np.where(run, b - a, width)
         for mu_x, f_x in ((c, fc), (d, fd)):
@@ -128,7 +132,7 @@ def _optimize(batch: Sequence[ProtocolParams], protocol: Protocol, model: PnsMod
                         np.where(right, fd, fc), np.where(left, fc, fd))
         f_new = f(np.where(left, c, d))[0]
         fc, fd = np.where(left, f_new, fc), np.where(right, f_new, fd)
-        run &= (spec.refine_tolerance < b - a) & (b - a < width)
+        run &= (spec.refine_tolerance * b < b - a) & (b - a < width)
     mid = 0.5 * (a + b)
     fm = f(mid)[0]
     up = (fm > best_val) | ((fm == best_val) & (mid < best_mu))

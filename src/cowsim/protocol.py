@@ -29,9 +29,9 @@ from .simulation import (
     QberEstimate,
     SimResult,
     SymbolStream,
+    _wilson,
     estimate_qber,
     run_simulation,
-    visibility_stderr,
 )
 
 __all__ = [
@@ -51,13 +51,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Announcement:
-    """Bob's public message: which symbols produced data-line detections and
-    when D_M2 fired, as its monitor output slots. Arrival slots are withheld
-    because the slot is the bit; monitoring times carry no bit information."""
+    """Bob's public message: which symbols produced data-line detections.
+    Arrival slots are withheld because the slot is the bit."""
 
     detected_indices: np.ndarray
     ambiguous_indices: np.ndarray
-    m2_times: np.ndarray
 
 
 @dataclass
@@ -83,13 +81,10 @@ class AbortReason(Enum):
 @dataclass(frozen=True)
 class EstimationReport:
     v_10: float
-    se_10: float
     v_d: float
-    se_d: float
     abort: bool
     reason: AbortReason
     i_eve: float
-    i_eve_feasible: bool
 
 
 @dataclass(frozen=True)
@@ -119,8 +114,7 @@ def announce(record: DetectionRecord) -> Announcement:
     """
     detected, counts = np.unique(record.d_b >> 1, return_counts=True)
     return Announcement(detected_indices=detected,
-                        ambiguous_indices=detected[counts > 1],
-                        m2_times=record.d_m2)
+                        ambiguous_indices=detected[counts > 1])
 
 
 def sift(stream: SymbolStream, d_b: np.ndarray) -> SiftedKeyPair:
@@ -149,13 +143,16 @@ def estimate_parameters(stats: MonitoringStats, params: ProtocolParams,
                         tolerance_sigmas: float = 3.0,
                         protocol: Protocol = Protocol.COW,
                         model: PnsModel = PnsModel()) -> EstimationReport:
-    """Visibility estimates per class with binomial standard errors, the abort
-    rule, and Eve's information computed from the worst visibility.
+    """Visibility estimates per class, the abort rule, and Eve's information
+    computed from the worst visibility.
 
-    The protocol demands equal visibilities across the two classes; the test
-    is |v_10 - v_d| against tolerance_sigmas combined standard errors, which
-    must be finite and positive. An undefined class aborts with its own reason
-    code.
+    The protocol demands equal visibilities across the two classes. A class's
+    visibility is 2p - 1 for the share p of its clicks on D_M1, so the run
+    aborts when Newcombe's hybrid score interval for p_10 - p_d, built from
+    each class's Wilson interval at z = tolerance_sigmas (finite and
+    positive), excludes 0. Unlike a Wald error, a Wilson interval keeps its
+    width when a class has no D_M2 clicks. An undefined class aborts with its
+    own reason code.
     """
     if not 0.0 < tolerance_sigmas < math.inf:
         raise ValueError(f"tolerance_sigmas must be finite and > 0, got {tolerance_sigmas}")
@@ -163,25 +160,24 @@ def estimate_parameters(stats: MonitoringStats, params: ProtocolParams,
     if math.isnan(v_d) or math.isnan(v_10):
         no_decoy = math.isnan(v_d)
         return EstimationReport(
-            v_10=float("nan"), se_10=0.0, v_d=v_d,
-            se_d=0.0 if no_decoy else visibility_stderr(stats.n_m1_d, stats.n_m2_d),
-            abort=True, i_eve=1.0, i_eve_feasible=False,
+            v_10=float("nan"), v_d=v_d, abort=True, i_eve=1.0,
             reason=AbortReason.NO_DECOY_STATISTICS if no_decoy
             else AbortReason.NO_BIT_PAIR_STATISTICS)
 
-    se_10 = visibility_stderr(stats.n_m1_10, stats.n_m2_10)
-    se_d = visibility_stderr(stats.n_m1_d, stats.n_m2_d)
-    combined = math.hypot(se_10, se_d)
-    mismatch = abs(v_10 - v_d) > tolerance_sigmas * combined
+    n_10, n_d = stats.n_m1_10 + stats.n_m2_10, stats.n_m1_d + stats.n_m2_d
+    p_10, p_d = stats.n_m1_10 / n_10, stats.n_m1_d / n_d
+    lo_10, hi_10 = _wilson(stats.n_m1_10, n_10, tolerance_sigmas)
+    lo_d, hi_d = _wilson(stats.n_m1_d, n_d, tolerance_sigmas)
+    mismatch = (p_10 - p_d > math.hypot(p_10 - lo_10, hi_d - p_d)
+                or p_d - p_10 > math.hypot(hi_10 - p_10, p_d - lo_d))
 
     v_worst = min(v_10, v_d)
     eve = eve_information(replace(params, v=min(max(v_worst, 0.0), 1.0)),
                           protocol, model)
-    return EstimationReport(v_10=v_10, se_10=se_10, v_d=v_d, se_d=se_d,
-                            abort=mismatch,
+    return EstimationReport(v_10=v_10, v_d=v_d, abort=mismatch,
                             reason=AbortReason.VISIBILITY_MISMATCH if mismatch
                             else AbortReason.NONE,
-                            i_eve=eve.i_eve, i_eve_feasible=eve.feasible)
+                            i_eve=eve.i_eve)
 
 
 def distill_accounting(n_sifted: int, q: float, i_eve: float) -> DistillationSummary:

@@ -58,11 +58,10 @@ class PnsModel:
 
     The error-free variant gives Eve mu*(1-t); the two detectable variants give
     mu/(2t) (as printed in the source analysis) or mu*t/2 (the monotone
-    alternative). The fraction is clamped into [0, 1] unless clamp is False.
+    alternative). The fraction is clamped into [0, 1].
     """
 
     kind: PnsKind = PnsKind.DETECTABLE_AS_PRINTED
-    clamp: bool = True
 
 
 class RateMode(Enum):
@@ -188,13 +187,7 @@ def _pns_r(mu, t, model: PnsModel):
             r = mu / (2.0 * t)
     else:
         r = mu * t / 2.0
-    if model.clamp:
-        return np.clip(r, 0.0, 1.0)
-    if not np.all(np.isfinite(r)):
-        # an infinite r would turn Eve's information into inf or nan
-        raise ValueError(f"the unclamped PNS fraction mu/(2t) overflows at "
-                         f"mu = {np.max(mu):.9g}, t = {np.min(t):.9g}; set pns_clamp=true")
-    return r
+    return np.clip(r, 0.0, 1.0)
 
 
 def _intercept_resend(mu_t, protocol: Protocol):
@@ -210,11 +203,10 @@ def _eve(mu, t, v, protocol: Protocol, model: PnsModel):
     """Return (r, p_ir, i_ir, i_eve, feasible) as numpy arrays."""
     if protocol is Protocol.BB84_PLAIN:
         # without decoy states every multi-photon pulse leaks for free
-        model = PnsModel(PnsKind.ERROR_FREE, model.clamp)
+        model = PnsModel(PnsKind.ERROR_FREE)
     r = np.asarray(_pns_r(mu, t, model), dtype=float)
     scale, loss = _intercept_resend(mu * t, protocol)
-    # an unclamped r above 1 leaves Eve nothing to intercept, and one bit to know
-    room = np.maximum(1.0 - r, 0.0)
+    room = 1.0 - r
     # xi underflows to 0 above mu t of about 745: V = 1 still needs no IR, and
     # any deficit there, or with no room, is infeasible (p_ir = inf)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -359,6 +351,5 @@ def predicted_signature(params: ProtocolParams, p_ir: float, protocol: Protocol 
     of the windows, p_ir = 0 for none: the inverse of eve_information."""
     r = eve_information(params, protocol, model).r
     scale, loss = _intercept_resend(params.mu * params.t, protocol)
-    # an unclamped r above 1 leaves Eve nothing to intercept
-    info = max(1.0 - r, 0.0) * p_ir / scale
+    info = (1.0 - r) * p_ir / scale
     return 1.0 - info * float(loss), min(r + info, 1.0)

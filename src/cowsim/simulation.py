@@ -343,7 +343,8 @@ def _run_chain(config: OpticsConfig, stream: SymbolStream, seed: int,
     are the detectors' Philox stage ids. The optics are evaluated only at
     candidate slots (see detect), drawn per class: slots touching a window
     brighter than Alice's pulses at the bound of the brightest pulse, all
-    others at the bound of sqrt(mu). Deadtime acts on the absolute times
+    others at the bound of sqrt(mu). Only an attacked stream, a single frame,
+    has such windows. Deadtime acts on the absolute times
     frame * frame_period_ns + slot * pulse_period_ns, so it spans frames."""
     params = config.params
     bounds = zip(_click_bounds(config, math.sqrt(stream.mu)),
@@ -353,10 +354,8 @@ def _run_chain(config: OpticsConfig, stream: SymbolStream, seed: int,
     for k, ((p_lo, p_hi), stage) in enumerate(zip(bounds, stages)):
         rng = stage_rng(seed, stage)
         width = max(n_slots, 2 * stream.n_symbols + (k > 0))  # one more monitor slot
-        boosted = monitor if k else data
-        if len(boosted):  # the same slots in every frame
-            boosted = (width * np.arange(n_frames)[:, None] + boosted).ravel()
-        slots, p_hat = _class_candidates(rng, p_lo, p_hi, n_frames * width, boosted)
+        slots, p_hat = _class_candidates(rng, p_lo, p_hi, n_frames * width,
+                                         monitor if k else data)
         ss = slots % width
         if k == 0:
             intensity = propagate(stream.pulses(ss)[0], params)[0]
@@ -380,13 +379,6 @@ def _visibility(n_m1: int, n_m2: int) -> float:
     """Count-based visibility (n1 - n2) / (n1 + n2); nan without clicks."""
     total = n_m1 + n_m2
     return (n_m1 - n_m2) / total if total else math.nan
-
-
-def visibility_stderr(n_m1: int, n_m2: int) -> float:
-    """Binomial standard error of the count-based visibility estimate."""
-    total = n_m1 + n_m2
-    p = n_m1 / total
-    return 2.0 * math.sqrt(p * (1.0 - p) / total)
 
 
 def estimate_qber(alice_bits: np.ndarray, bob_bits: np.ndarray) -> QberEstimate | None:

@@ -217,11 +217,6 @@ class TestExperimentCommand:
         assert "# p_d = 4.25" in out
         assert "# v = 0.92" in out
 
-    def test_net_visibility_selector(self):
-        code, out, _ = run_cli("experiment", "--set", "n_frames=1000",
-                               "--set", "experiment_visibility=net")
-        assert "# v = 0.98" in out
-
     def test_explicit_v_wins(self):
         code, out, _ = run_cli("experiment", "--set", "n_frames=1000",
                                "--set", "v=0.95")
@@ -264,7 +259,6 @@ class TestInputValidation:
         ("keyrate", "loss_grid=a,b"),
         ("experiment", "protocol=zzz"),
         ("keyrate", "frame_pattern=XYZ"),
-        ("keyrate", "experiment_visibility=foo"),
         # a line break in a list would break the metadata block that echoes it
         ("curve", "protocols=cow,\nbb84"),
         ("curve", "loss_grid=0,\n5"),

@@ -28,7 +28,15 @@ detections as one Bernoulli(1 - exp(-mu t)) process over the pulses of the
 attacked windows, and one phase per resent window. The distribution of the
 attacked stream is unchanged (a two-sample test in test_attacks.py compares
 it with the dense draw); the exit codes stay 0 and 2. Clean streams draw
-nothing from the attack stage, so every other case kept its hash."""
+nothing from the attack stage, so every other case kept its hash.
+
+Every hash was regenerated when the pns_clamp and experiment_visibility keys
+were deleted: each output lost the two metadata lines that echoed them, and
+only that metadata block moved, with every exit code kept. The one exception
+is the curve body: the golden-section stop became relative to mu (bracket
+no wider than refine_tolerance * b), so 9 of its 18 rows moved mu* in the
+7th to 9th significant digit while r_sk kept all 9 printed digits. The
+abort rule's switch from Wald errors to a score interval flipped no case."""
 
 import hashlib
 
@@ -42,44 +50,44 @@ CONFIG_FILE = "n_symbols = 20000  # short run\np_d = 1e-4\nv = 0.95\n"
 GOLDEN = {
     "keyrate": (
         ["keyrate", "--set", "t_b=1.0"], 0,
-        {"out.csv": "343e533af6861167a7e7231a3bd950a8a36430b278f963201ff7f5a345836a8c"}),
+        {"out.csv": "914ca5d9155eb967938bc5339bf58080f1cef23bbe21999e88041442ee7d21d2"}),
     "curve": (
         ["curve", "--set", "loss_grid=0,10,20", "--set", "visibilities=1.0,0.8"], 0,
-        {"out.csv": "5ee1bd5ffd63489d491f15da349d106a0db050240da2197407732a9f6a1959f2"}),
+        {"out.csv": "a5b879527084b6e1842f9d43ea2c3dadf1e72a4992083c5ac5cf216f6415b4d8"}),
     "simulate": (
         ["simulate", "--set", "n_symbols=50000", "--seed", "7"], 0,
-        {"out.csv": "a844615264e9efac220b1b33fd3e6ae056ebb1b6fe75b5f078a406aa5c6a61af"}),
+        {"out.csv": "fbd9ce5bed8f11719196d65d0a167011e6968a6ec8ba74b163f583efe388f81b"}),
     "experiment": (
         ["experiment", "--set", "n_frames=50000", "--seed", "7"], 0,
-        {"out.csv": "e13c9538fe9a4e3a9cedd3cf0ec7653d9acc11d27a2f3f039280ffbdfcfb5d36"}),
+        {"out.csv": "e7f241e724f6d7439d5ea6fa6f30c0176cfbcb1ee64e3de6d3ed4296a75e73b2"}),
     "simulate_dump_events": (
         ["simulate", "--set", "n_symbols=40000", "--seed", "3",
          "--set", "attack=intercept-resend", "--set", "p_ir=1.0",
          "--set", "t_b=0.5", "--set", "eta=0.25", "--set", "f=0.3",
          "--set", "p_d=1e-4", "--dump-events", "{tmp}/events.csv"], 0,
-        {"out.csv": "475f562de8b1314ad83a43dc3c0f66c93d09dc730e8b05836083173afee6cb1e",
-         "events.csv": "5e89c5e3b7be629e6e82e612d90a6023ee7a081a90f0c7779ec930eb16f6bdcb"}),
+        {"out.csv": "da3cec6ddee28a265a2329045e1a3afe78a2ad2f1b3d74c0f1530a6bcea0e937",
+         "events.csv": "3dee7d8f3ca6091a877dc08b56c8e07725796d9443e7c04db8c868826566d058"}),
     "simulate_deadtime": (
         ["simulate", "--set", "n_symbols=40000", "--seed", "4",
          "--set", "mu=2.0", "--set", "eta=0.5", "--set", "p_d=1e-3",
          "--set", "deadtime_ns=5"], 0,
-        {"out.csv": "d3e3eaf72c29bdf18b784dc90a75317de7cdc3fcddb451c56e76b82d442e9ac8"}),
+        {"out.csv": "9a81a78773ac8b575ec433b360b7ea4188f73e2288a9a9399a2c19daa6bdd0e3"}),
     "experiment_no_deadtime": (
         ["experiment", "--set", "n_frames=30000", "--seed", "8",
          "--set", "deadtime_ns=0"], 0,
-        {"out.csv": "6bd5ac98ddddd6741363bc6ef1d9eb0af3001fee26d5bc48631c7cc575f4f3fe"}),
+        {"out.csv": "42aea3b84ed70cd725d48adfbf90bfe93ff41ceb297f6687eeb4dd026c6f16e2"}),
     "config_file_flags": (
         ["simulate", "--config", "{tmp}/run.cfg", "--seed", "11",
          "--protocol", "bb84-decoy", "--pns-model", "alt"], 0,
-        {"out.csv": "48f81bcc301381125c45dd4929bb7e7e420b433b95148d56139218aa2dd00941"}),
+        {"out.csv": "307453bf18f55a1b0941cad076b940512df4fff7060921130b223211bd657d90"}),
     "simulate_no_decoy_abort": (
         ["simulate", "--set", "f=0", "--set", "n_symbols=20000", "--seed", "5"], 2,
-        {"out.csv": "6a74f1dbcabd846b630dd8688411db33218469f60e3c17d6d1c268ad3a170a4c"}),
+        {"out.csv": "9956990f316a31fd1c697980436e059616671da784d6360b57b7e13551004d4a"}),
     "simulate_bb84_intercept_resend": (
         ["simulate", "--set", "n_symbols=20000", "--seed", "5", "--protocol", "bb84",
          "--pns-model", "alt", "--set", "attack=intercept-resend", "--set", "p_ir=0.5",
          "--set", "loss_db=10"], 2,
-        {"out.csv": "eda37bf8923ea635eab0d32bdf88ed93bb13998b25e2861aae2c7d20540b4aae"}),
+        {"out.csv": "b546162049098a5c7eb70d6f24e708663c7c89fe1f7c72cf0534e6bca739cc24"}),
 }
 
 

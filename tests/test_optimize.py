@@ -52,7 +52,7 @@ def scalar_optimize(params, protocol, model, spec, mode):
     best_mu, best_val = float(grid[i]), float(vals[i])
     width = math.inf
     iterations = 0
-    while spec.refine_tolerance < b - a < width:
+    while spec.refine_tolerance * b < b - a < width:
         iterations += 1
         width = b - a
         for mu_cand, val_cand in ((c, fc), (d, fd)):

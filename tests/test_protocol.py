@@ -57,15 +57,14 @@ class TestAnnounce:
         ann = announce(record_with([], []))
         assert len(ann.detected_indices) == 0
         assert len(ann.ambiguous_indices) == 0
-        assert len(ann.m2_times) == 0
 
     def test_projection_withholds_slots(self):
         ann = announce(record_with([0, 2], [0, 1]))
         assert list(ann.detected_indices) == [0, 2]
         assert len(ann.ambiguous_indices) == 0
-        # the message structure carries indices and monitoring times only
+        # the message structure carries indices only
         fields = {f.name for f in dataclasses.fields(ann)}
-        assert fields == {"detected_indices", "ambiguous_indices", "m2_times"}
+        assert fields == {"detected_indices", "ambiguous_indices"}
 
     def test_double_click_flagged_once(self):
         ann = announce(record_with([5, 5, 7], [0, 1, 0]))
@@ -158,6 +157,13 @@ class TestEstimateParameters:
         a = estimate_parameters(MonitoringStats(1000, 0, 750, 250), params())
         b = estimate_parameters(MonitoringStats(750, 250, 1000, 0), params())
         assert a.abort == b.abort
+
+    def test_class_without_m2_clicks_keeps_its_width(self):
+        # v_d = 1 from 41 decoy clicks with none on D_M2, against v_10 = 0.83:
+        # a Wald error is 0 for that class, and the run aborted at 3 sigma
+        rep = estimate_parameters(
+            MonitoringStats(n_m1_10=94, n_m2_10=9, n_m1_d=41, n_m2_d=0), params())
+        assert not rep.abort and rep.reason is AbortReason.NONE
 
     def test_undefined_reasons(self):
         rep = estimate_parameters(MonitoringStats(50, 0, 0, 0), params())

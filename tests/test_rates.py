@@ -219,25 +219,14 @@ class TestPnsFraction:
         assert pns_fraction(p, PnsModel(PnsKind.ERROR_FREE)) == pytest.approx(0.05, rel=1e-9)
 
     def test_printed_clamps(self):
-        p = fig2_params(loss_db=10.0)
-        assert pns_fraction(p, PnsModel(PnsKind.DETECTABLE_AS_PRINTED)) == 1.0
-        unclamped = pns_fraction(p, PnsModel(PnsKind.DETECTABLE_AS_PRINTED, clamp=False))
-        assert unclamped == pytest.approx(2.5, rel=1e-9)
+        # at 3200 dB, t = 1e-320 and mu/(2t) overflows to inf
+        for loss_db in (10.0, 3200.0):
+            p = fig2_params(loss_db=loss_db)
+            assert pns_fraction(p, PnsModel(PnsKind.DETECTABLE_AS_PRINTED)) == 1.0
 
     def test_alt(self):
         p = fig2_params(loss_db=10.0)
         assert pns_fraction(p, PnsModel(PnsKind.DETECTABLE_ALT)) == pytest.approx(0.025, rel=1e-9)
-
-    def test_unclamped_overflow_is_an_error(self):
-        # at t = 1e-320 mu/(2t) overflows: clamped it is 1, unclamped an error
-        # rather than an infinite or nan I_Eve
-        p = fig2_params(loss_db=3200.0)
-        assert pns_fraction(p, PnsModel(PnsKind.DETECTABLE_AS_PRINTED)) == 1.0
-        unclamped = PnsModel(PnsKind.DETECTABLE_AS_PRINTED, clamp=False)
-        for call in (lambda: pns_fraction(p, unclamped),
-                     lambda: secret_key_rate(replace(p, v=0.9), Protocol.COW, unclamped)):
-            with pytest.raises(ValueError, match="pns_clamp"):
-                call()
 
 
 class TestEveInformation:
@@ -367,7 +356,7 @@ def analysis_inputs(draw):
                        eta=draw(num(0.0, 1.0)), p_d=draw(num(0.0, 0.5)),
                        v=draw(num(0.0, 1.0)))
     assume(mode is RateMode.EXACT or p.mu * p.t * p.t_b * p.eta <= 1.0)
-    model = PnsModel(draw(st.sampled_from(list(PnsKind))), draw(st.booleans()))
+    model = PnsModel(draw(st.sampled_from(list(PnsKind))))
     return p, draw(st.sampled_from(list(Protocol))), model, mode
 
 
@@ -376,7 +365,7 @@ class TestProperties:
     @given(analysis_inputs())
     @example((fig2_params(mu=2.2250738585072014e-308, loss_db=1.75, f=0.0, eta=0.5,
                           p_d=0.0, v=0.0),  # r subnormal
-              Protocol.BB84_DECOY, PnsModel(PnsKind.ERROR_FREE, False), RateMode.EXACT))
+              Protocol.BB84_DECOY, PnsModel(PnsKind.ERROR_FREE), RateMode.EXACT))
     @example((fig2_params(mu=0.0, f=0.4, p_d=5e-324),  # p_d subnormal, no signal
               Protocol.COW, PnsModel(), RateMode.LINEARIZED))
     def test_rates_bounded(self, inputs):
@@ -418,11 +407,10 @@ class TestProperties:
     @given(analysis_inputs(), st.floats(0.0, 1.0))
     @example((fig2_params(mu=1.0, loss_db=10.0), Protocol.COW, PnsModel(),
               RateMode.LINEARIZED), 0.9)
-    def test_unclamped_information_at_most_one_bit(self, inputs, scale):
-        # an unclamped PNS fraction r may exceed 1 (mu / 2t = 5 above), and
-        # Eve's information still stays within one bit and grows as V falls
+    def test_information_at_most_one_bit(self, inputs, scale):
+        # the PNS fraction saturates at r = 1 (mu / 2t = 5 above), and Eve's
+        # information stays within one bit and grows as V falls
         p, proto, model, _ = inputs
-        model = PnsModel(model.kind, clamp=False)
         high, low = (eve_information(replace(p, v=v), proto, model)
                      for v in (p.v, p.v * scale))
         for e in (high, low):
@@ -431,6 +419,9 @@ class TestProperties:
 
     @settings(max_examples=100, deadline=None)
     @given(analysis_inputs(), st.floats(0.0, 30.0, allow_subnormal=False))
+    @example((ProtocolParams(mu=0.0, f=0.0, t_b=1.0, eta=0.5, p_d=0.0, v=0.001953125),
+              Protocol.COW, PnsModel(PnsKind.DETECTABLE_ALT), RateMode.EXACT),
+             1.0)  # mu* about 1e-3: an absolute 1e-6 stop left 0 dB short of its optimum
     def test_optimum_not_increasing_with_loss(self, inputs, extra_db):
         # mu_max = 1 keeps every grid point inside the linearized domain
         p, proto, model, mode = inputs
