@@ -9,7 +9,8 @@ expected intensity reaching Bob matches the unattacked channel; a one-detection
 window puts its whole restored budget in the detected pulse. The count-based
 decoy-class visibility then converges to 1 - (1-r) p_ir xi, the visibility
 that rates.predicted_signature gives for the attack. Only the attack mask costs
-a uniform per window; Eve's detections and phases cost O(resent windows).
+a draw per window, one raw byte for most; Eve's detections and phases cost
+O(resent windows).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .rates import ProtocolParams
-from .simulation import BIT0, BIT1, DECOY, SymbolStream, _candidates, _uniform_chunks
+from .simulation import DECOY, SymbolStream, _bernoulli, _candidates
 
 __all__ = [
     "AttackKind",
@@ -73,25 +74,26 @@ def apply_intercept_resend(stream: SymbolStream, config: AttackConfig,
     position; no detection resends vacuum. The resent windows index rows
     appended to the stream's amplitude table, and each draws its own phase.
     """
-    n = stream.n_symbols
     p_det = -math.expm1(-stream.mu * params.t)
     if not config.is_active() or p_det <= 0.0:
         return stream, AttackLog(0, 0, 0)
     # restores Bob's expected intensity per window across Eve's outcome mix
     boost = 1.0 / (p_det * (2.0 - p_det))
+    # Eve's resends index rows appended to Alice's table: vacuum, pair, and a
+    # single click on pulse p at row single + p, kept only if the guess is a bit
+    vacuum, pair, single = range(len(stream.table), len(stream.table) + 3)
 
-    # fixed draw layout: the attack mask, one uniform per window; then Eve's
-    # detections, one Bernoulli(p_det) process over the attacked windows' two
-    # pulses (rank r is pulse r & 1 of attacked window r >> 1); then a phase
-    # per resent window
-    attacked = np.empty(n, dtype=bool)
-    for rows, u in _uniform_chunks(rng, n):
-        np.less(u, config.p_ir, out=attacked[rows])
-    windows = np.flatnonzero(attacked)
+    # fixed draw layout: the attack mask, an exact Bernoulli(p_ir) per window
+    # that turns it vacuum; then Eve's detections, one Bernoulli(p_det)
+    # process over the attacked windows' two pulses (rank r is pulse r & 1 of
+    # attacked window r >> 1); then a phase per resent window
+    shapes = stream.shapes.astype(np.uint8)
+    _bernoulli(rng, config.p_ir, shapes, vacuum)
+    windows = np.flatnonzero(shapes == vacuum)
     hits = _candidates(rng, p_det, 2 * len(windows))
     hit_windows, pulse = windows[hits >> 1], hits & 1
-    kind = stream.kinds[hit_windows]
-    lit = np.where(pulse == 0, kind != BIT1, kind != BIT0)  # no photon, no detection
+    # no photon, no detection: the empty pulse of bit b (BIT0 = 0, BIT1 = 1) is 1 - b
+    lit = np.flatnonzero(stream.kinds[hit_windows] + pulse != 1)
     hit_windows, pulse = hit_windows[lit], pulse[lit]
     first = np.diff(hit_windows, prepend=-1) > 0  # a window's first detection
     resent = hit_windows[first]
@@ -101,15 +103,9 @@ def apply_intercept_resend(stream: SymbolStream, config: AttackConfig,
     guess_bit = (1.0 - params.f) / 2.0 >= params.f * (1.0 - p_det)
     a_pair = math.sqrt(boost * stream.mu)
     a_single = math.sqrt(2.0 * boost * stream.mu)
-    # Eve's resends index rows appended to Alice's table: vacuum, pair, and a
-    # single click on pulse p at row single + p, kept only if the guess is a bit
-    vacuum, pair, single = range(len(stream.table), len(stream.table) + 3)
     rows = [[0.0, 0.0], [a_pair, a_pair]]
     if guess_bit:
         rows += [[a_single, 0.0], [0.0, a_single]]
-
-    shapes = stream.shapes.astype(np.uint8)
-    shapes[windows] = vacuum  # integer indices: an irregular mask assigns ~10x slower
     shapes[resent] = np.where(both | (not guess_bit), pair, single + pulse[first])
     phases = rng.random(len(resent)) * (2.0 * math.pi)
 

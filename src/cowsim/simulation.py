@@ -48,7 +48,7 @@ _STAGE_DATA = 3
 _STAGE_M1 = 4
 _STAGE_M2 = 5
 
-# rows per chunk of the per-symbol uniform draws; bounds their float scratch
+# trials per chunk of a Bernoulli draw (a multiple of 8); bounds its byte scratch
 _CHUNK = 1 << 16
 
 
@@ -192,24 +192,48 @@ class SimResult:
 
 def generate_symbols(n: int, f: float, mu: float, seed: int) -> SymbolStream:
     """Draw n i.i.d. symbols: bit 0 and bit 1 with probability (1-f)/2 each,
-    decoy with probability f. Deterministic under the seed."""
+    decoy with probability f. Deterministic under the seed: a fair bit per
+    symbol from n/8 raw bytes, then an exact Bernoulli(f) decoy flag each."""
     if n <= 0:
         raise ValueError("n must be positive")
     if not 0.0 <= f < 1.0:
         raise ValueError("f must be in [0, 1)")
-    kinds = np.empty(n, dtype=np.int8)
-    for rows, u in _uniform_chunks(stage_rng(seed, _STAGE_SYMBOLS), n):
-        # BIT0 below (1-f)/2, BIT1 below 1-f, DECOY above
-        np.add(u >= (1.0 - f) / 2.0, u >= 1.0 - f, out=kinds[rows], dtype=np.int8)
+    rng = stage_rng(seed, _STAGE_SYMBOLS)
+    kinds = np.unpackbits(rng.bit_generator.random_raw(-(-n // 64)).view(np.uint8),
+                          count=n).view(np.int8)  # a fair bit each: BIT0 or BIT1
+    _bernoulli(rng, f, kinds, DECOY)
     return SymbolStream(kinds=kinds, mu=mu)
 
 
-def _uniform_chunks(rng: np.random.Generator, n: int, width: int = 1):
-    """(rows, uniforms) over n rows of `width` uniforms, _CHUNK rows at a
-    time: the same bits as one rng.random draw, with bounded float scratch."""
-    for start in range(0, n, _CHUNK):
-        m = min(_CHUNK, n - start)
-        yield slice(start, start + m), rng.random((m, width) if width > 1 else m)
+def _bernoulli(rng: np.random.Generator, p: float, out: np.ndarray, value: int):
+    """Set out[i] = value where trial i of len(out) exact Bernoulli(p) trials
+    succeeds; out holds one-byte codes below value. A float p is a dyadic
+    rational, so its binary expansion has finitely many bytes (1.0 has one,
+    256). A trial compares raw Philox bytes, as those of a uniform U, with p's:
+    the first that differs decides U < p, and a tie on all of p's bytes means
+    U >= p. All trials draw a first byte in index order, _CHUNK at a time; then
+    the tied ones draw the next, round by round, so the bytes drawn do not
+    depend on _CHUNK."""
+    num, den = float(p).as_integer_ratio()
+    digits = []
+    while num:
+        digit, num = divmod(num * 256, den)
+        digits.append(digit)
+    raw, ties = rng.bit_generator.random_raw, []
+    for start in range(0, len(out), _CHUNK) if digits else ():
+        rows = out[start:start + _CHUNK]
+        u = raw(-(-len(rows) // 8)).view(np.uint8)[:len(rows)]
+        # branch-free: a masked store is several times slower on random masks
+        np.maximum(rows, (u < digits[0]).view(out.dtype) * value, out=rows)
+        if len(digits) > 1:
+            ties.append(np.flatnonzero(u == digits[0]) + start)
+    tied = np.concatenate(ties) if ties else ()
+    for digit in digits[1:]:
+        if not len(tied):
+            break
+        u = raw(-(-len(tied) // 8)).view(np.uint8)[:len(tied)]
+        out[tied[u < digit]] = value
+        tied = tied[u == digit]
 
 
 def propagate(amplitudes: np.ndarray, params: ProtocolParams):

@@ -26,7 +26,15 @@ from cowsim import (
     simulate_stream,
     xi,
 )
-from cowsim.simulation import BIT0, BIT1, DECOY, SymbolStream, _candidates, stage_rng
+from cowsim.simulation import (
+    BIT0,
+    BIT1,
+    DECOY,
+    SymbolStream,
+    _bernoulli,
+    _candidates,
+    stage_rng,
+)
 
 # attack study configuration: mu t = 0.05 with a strong monitoring tap and a
 # lossless interferometer so the class estimates carry real statistics
@@ -56,11 +64,12 @@ def data_click_probs(params, p_ir):
 
 def dense_attacked_train(kinds, mu, config, params, rng):
     """Every pulse's (amplitude, phase) of Alice's train after the attack,
-    built pulse by pulse from the attack's draws: the attack mask (one uniform
-    per window), Eve's detections (one Bernoulli(1 - exp(-mu t)) process over
-    the pulses of the attacked windows in train order, a detection on an
-    empty pulse dropped) and one phase per resent window in window order. The
-    reference the window lookup must reproduce."""
+    built pulse by pulse from the attack's draws: the attack mask (an exact
+    Bernoulli(p_ir) per window, from the one helper that draws them), Eve's
+    detections (one Bernoulli(1 - exp(-mu t)) process over the pulses of the
+    attacked windows in train order, a detection on an empty pulse dropped)
+    and one phase per resent window in window order. The reference the window
+    lookup must reproduce."""
     n, a = len(kinds), math.sqrt(mu)
     amplitudes = np.zeros(2 * n)
     amplitudes[0::2][kinds != BIT1] = a
@@ -70,7 +79,9 @@ def dense_attacked_train(kinds, mu, config, params, rng):
     if not config.is_active() or p_det <= 0.0:
         return amplitudes, phases
     boost = 1.0 / (p_det * (2.0 - p_det))
-    attacked = rng.random(n) < config.p_ir
+    attacked = np.zeros(n, dtype=np.int8)
+    _bernoulli(rng, config.p_ir, attacked, 1)
+    attacked = attacked.view(bool)
     attacked_pulses = np.flatnonzero(np.repeat(attacked, 2))
     detected = np.zeros(2 * n, dtype=bool)
     detected[attacked_pulses[_candidates(rng, p_det, len(attacked_pulses))]] = True

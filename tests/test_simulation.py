@@ -2,6 +2,8 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,8 +29,10 @@ from cowsim import (
     run_experiment,
     run_protocol,
     run_simulation,
+    sift,
     simulate_stream,
 )
+from cowsim import simulation
 from cowsim.attacks import apply_intercept_resend
 from cowsim.experiment import FRAME_PATTERNS
 from cowsim.simulation import (
@@ -38,6 +42,7 @@ from cowsim.simulation import (
     _CHUNK,
     _STAGE_SYMBOLS,
     SymbolStream,
+    _bernoulli,
     _boosted_slots,
     _click_bounds,
     _run_chain,
@@ -90,21 +95,147 @@ class TestGenerateSymbols:
         assert np.all(second[s.kinds == DECOY] == a)
         assert np.all(phases == 0.0)
 
-    def test_chunked_draw_equals_one_draw(self):
-        # n is not a multiple of the chunk, so the last chunk is a short one
+    def test_chunk_size_leaves_the_draw(self, monkeypatch):
+        # n is a multiple of no chunk size, so the last chunk is a short one;
+        # f = 0.1 has a long expansion, so ties go to later rounds
         n, f = 2 * _CHUNK + 12345, 0.1
-        u = stage_rng(6, _STAGE_SYMBOLS).random(n)
-        reference = np.full(n, DECOY, dtype=np.int8)
-        reference[u < (1.0 - f) / 2.0] = BIT0
-        reference[(u >= (1.0 - f) / 2.0) & (u < 1.0 - f)] = BIT1
-        s = generate_symbols(n, f, 0.5, seed=6)
-        assert s.kinds.dtype == np.int8
-        assert np.array_equal(s.kinds, reference)
+        reference = generate_symbols(n, f, 0.5, seed=6).kinds
+        for chunk in (8, 64, 8 * 1001, 1 << 20):
+            monkeypatch.setattr(simulation, "_CHUNK", chunk)
+            s = generate_symbols(n, f, 0.5, seed=6)
+            assert s.kinds.dtype == np.int8
+            assert np.array_equal(s.kinds, reference), chunk
 
     def test_deterministic(self):
         a = generate_symbols(5000, 0.1, 0.5, seed=9)
         b = generate_symbols(5000, 0.1, 0.5, seed=9)
         assert np.array_equal(a.kinds, b.kinds)
+
+
+def float_symbols(n, f, seed):
+    """The earlier symbol layout, one uniform per symbol: BIT0 below (1-f)/2,
+    BIT1 below 1 - f, DECOY above. The reference of the byte-wise draw's
+    statistics."""
+    u = stage_rng(seed, _STAGE_SYMBOLS).random(n)
+    return (u >= (1.0 - f) / 2.0).astype(np.int8) + (u >= 1.0 - f)
+
+
+class TestBytewiseAgainstFloatSymbols:
+    """Symbols drawn as a fair bit plus an exact Bernoulli(f) decoy flag have
+    the statistics of the earlier one-uniform-per-symbol draw: two
+    independent samples of seeds agree on the kind counts and on a clean
+    run's monitoring tallies, sifted bits and errors."""
+
+    N_SEEDS = 100
+
+    def sample(self, n, seed, floats):
+        p = params(f=0.3, t_b=0.5, v=0.9, p_d=1e-3)
+        kinds = float_symbols(n, p.f, seed) if floats else generate_symbols(
+            n, p.f, p.mu, seed).kinds
+        stream = SymbolStream(kinds, p.mu)
+        sim = simulate_stream(OpticsConfig(params=p, insertion_loss=0.0), stream, seed)
+        key = sift(stream, sim.record.d_b)
+        st = sim.stats
+        return [*np.bincount(kinds, minlength=3), st.n_m1_10, st.n_m2_10, st.n_m1_d,
+                st.n_m2_d, len(key.alice_bits),
+                int(np.count_nonzero(key.alice_bits != key.bob_bits))]
+
+    def test_counts_agree(self):
+        n = 20000
+        # the float sample takes the next seeds, so the samples are independent
+        bytewise, floats = (np.array([self.sample(n, seed, d)
+                                      for seed in range(self.N_SEEDS * d,
+                                                        self.N_SEEDS * (d + 1))])
+                            for d in (False, True))
+        gap = bytewise.mean(axis=0) - floats.mean(axis=0)
+        se = np.sqrt((bytewise.var(axis=0, ddof=1) + floats.var(axis=0, ddof=1))
+                     / self.N_SEEDS)
+        assert np.all(se > 0.0)
+        assert np.all(np.abs(gap) <= 4.0 * se), (gap, se)
+
+
+def lexicographic_bernoulli(p, n, raw):
+    """Pure-Python reference of _bernoulli: trial i succeeds when its bytes,
+    read as the leading bytes of a uniform, compare below the bytes of p's
+    binary expansion. Every trial takes a byte in index order, then each trial
+    still tied takes its next one, round by round; a round draws whole
+    8-byte words. Returns the successes and the count of trials tied on every
+    byte of p."""
+    digits, x = [], Fraction(p)
+    while x:
+        x *= 256
+        digits.append(math.floor(x))
+        x -= digits[-1]
+    drawn = [[] for _ in range(n)]
+    tied = list(range(n)) if digits else []
+    while tied:
+        stream = np.asarray(raw(-(-len(tied) // 8)), dtype=np.uint64).tobytes()
+        for i, byte in zip(tied, stream):
+            drawn[i].append(byte)
+        tied = [i for i in tied if drawn[i] == digits[:len(drawn[i])] and
+                len(drawn[i]) < len(digits)]
+    return (np.array([u < digits for u in drawn], dtype=bool),
+            sum(u == digits for u in drawn) if digits else 0)
+
+
+class TestBernoulli:
+    @staticmethod
+    def draw(p, n, seed):
+        """(successes, generator after the draw) of n trials."""
+        out = np.zeros(n, dtype=np.int8)
+        rng = stage_rng(seed, _STAGE_SYMBOLS)
+        _bernoulli(rng, p, out, 1)
+        return out.view(bool), rng
+
+    @pytest.mark.parametrize("k", [1, 77, 128, 255])
+    def test_k_over_256_is_one_byte_per_trial(self, k):
+        n = 2 * _CHUNK + 13
+        hit, rng = self.draw(k / 256, n, seed=k)
+        words = stage_rng(k, _STAGE_SYMBOLS).bit_generator.random_raw(-(-n // 8) + 1)
+        assert np.array_equal(hit, words.view(np.uint8)[:n] < k)
+        # the next word is the one after the first ceil(n / 8)
+        assert rng.bit_generator.random_raw() == words[-1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.one_of(st.floats(0.0, 1.0),
+                       st.integers(0, 2 ** 16).map(lambda k: k / 2 ** 16),
+                       st.integers(1, 2 ** 24).map(lambda k: 1.0 - k / 2 ** 24)),
+           n=st.integers(1, 3000), seed=st.integers(0, 2 ** 64 - 1),
+           chunk=st.sampled_from([8, 64, _CHUNK]))
+    def test_matches_lexicographic_byte_comparison(self, p, n, seed, chunk):
+        with mock.patch.object(simulation, "_CHUNK", chunk):
+            hit, _ = self.draw(p, n, seed)
+        reference, _ = lexicographic_bernoulli(
+            p, n, stage_rng(seed, _STAGE_SYMBOLS).bit_generator.random_raw)
+        assert np.array_equal(hit, reference)
+
+    @pytest.mark.parametrize("p", [0x4C01 / 2 ** 16, 0xC3 / 2 ** 16])
+    def test_tie_on_every_byte_fails(self, p):
+        # two expansion bytes and 2^18 trials: a few trials tie on both
+        n = 1 << 18
+        hit, _ = self.draw(p, n, seed=7)
+        reference, full_ties = lexicographic_bernoulli(
+            p, n, stage_rng(7, _STAGE_SYMBOLS).bit_generator.random_raw)
+        assert full_ties > 0
+        assert np.array_equal(hit, reference)
+
+    def test_zero_draws_nothing(self):
+        hit, rng = self.draw(0.0, 1000, seed=1)
+        assert not hit.any()
+        first = stage_rng(1, _STAGE_SYMBOLS).bit_generator.random_raw()
+        assert rng.bit_generator.random_raw() == first
+
+    def test_one_always_succeeds(self):
+        # the only expansion byte of 1.0 is 256, above every byte drawn
+        hit, _ = self.draw(1.0, 1000, seed=1)
+        assert hit.all()
+
+    @pytest.mark.parametrize("p", [0.1, 0.45, 1e-5, 0.999])
+    def test_binomial_count(self, p):
+        n = 10_000_000
+        hit, _ = self.draw(p, n, seed=12)
+        z = (np.count_nonzero(hit) - n * p) / math.sqrt(n * p * (1.0 - p))
+        assert abs(z) < 5.0
 
 
 class TestPropagate:
