@@ -107,7 +107,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         q.value if q else float("nan"),
         q.lo if q else float("nan"),
         q.hi if q else float("nan"),
-        est.v_10, est.v_d, est.abort, est.reason.value,
+        sim.stats.v_10, sim.stats.v_d, est.abort, est.reason.value,
         est.i_eve, dist.shrink_fraction, dist.n_secret,
         dist.n_secret / n, sim.empirical_r,
         sim.monitoring_rate_per_pulse, pred_v, pred_i)))

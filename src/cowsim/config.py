@@ -6,7 +6,7 @@ every output's metadata block so reruns are reproducible byte for byte.
 
 from __future__ import annotations
 
-from .rates import PnsKind, PnsModel, Protocol, ProtocolParams, RateMode
+from .rates import PnsModel, Protocol, ProtocolParams, RateMode
 from .simulation import OpticsConfig
 from .optimize import OptimizationSpec
 from .attacks import AttackConfig, AttackKind
@@ -58,7 +58,7 @@ DEFAULTS = {
     "background": (0.0, float),
     "protocol": ("cow", _PROTOCOL),
     "protocols": ("cow,bb84-decoy,bb84", _items(_PROTOCOL)),
-    "pns_model": ("printed", _member("pns model", [k.value for k in PnsKind])),
+    "pns_model": ("printed", _member("pns model", [m.value for m in PnsModel])),
     "rate_mode": ("linearized", _member("rate mode", [m.value for m in RateMode])),
     "n_symbols": (100000, int),
     "seed": (12345, int),
@@ -171,7 +171,7 @@ class RunConfig:
         return [Protocol(p.strip()) for p in self["protocols"].split(",") if p.strip()]
 
     def pns_model(self) -> PnsModel:
-        return PnsModel(kind=PnsKind(self["pns_model"]))
+        return PnsModel(self["pns_model"])
 
     def rate_mode(self) -> RateMode:
         return RateMode(self["rate_mode"])

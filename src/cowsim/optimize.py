@@ -141,7 +141,7 @@ def _optimize(batch: Sequence[ProtocolParams], protocol: Protocol, model: PnsMod
 
 
 def optimize_mu(params: ProtocolParams, protocol: Protocol = Protocol.COW,
-                model: PnsModel = PnsModel(),
+                model: PnsModel = PnsModel.DETECTABLE_AS_PRINTED,
                 spec: OptimizationSpec = OptimizationSpec(),
                 mode: RateMode = RateMode.LINEARIZED) -> OptimizeResult:
     """Maximize the clamped secret-key rate over mu in [mu_min, mu_max]: the
@@ -152,7 +152,8 @@ def optimize_mu(params: ProtocolParams, protocol: Protocol = Protocol.COW,
 
 
 def sweep_loss(params_template: ProtocolParams, protocols: Sequence[Protocol],
-               loss_grid: Sequence[float], model: PnsModel = PnsModel(),
+               loss_grid: Sequence[float],
+               model: PnsModel = PnsModel.DETECTABLE_AS_PRINTED,
                spec: OptimizationSpec = OptimizationSpec(),
                visibilities: Sequence[float] | None = None,
                mode: RateMode = RateMode.LINEARIZED) -> list[CurvePoint]:
@@ -179,7 +180,7 @@ def sweep_loss(params_template: ProtocolParams, protocols: Sequence[Protocol],
 
 
 def visibility_robustness(params_template: ProtocolParams, loss_db: float,
-                          model: PnsModel = PnsModel(),
+                          model: PnsModel = PnsModel.DETECTABLE_AS_PRINTED,
                           spec: OptimizationSpec = OptimizationSpec(),
                           mode: RateMode = RateMode.LINEARIZED,
                           v_low: float = 0.8,

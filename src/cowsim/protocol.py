@@ -80,8 +80,9 @@ class AbortReason(Enum):
 
 @dataclass(frozen=True)
 class EstimationReport:
-    v_10: float
-    v_d: float
+    """The abort decision and the I_Eve it charges. The visibilities it reads
+    are MonitoringStats.v_10 and v_d."""
+
     abort: bool
     reason: AbortReason
     i_eve: float
@@ -142,9 +143,9 @@ def sift(stream: SymbolStream, d_b: np.ndarray) -> SiftedKeyPair:
 def estimate_parameters(stats: MonitoringStats, params: ProtocolParams,
                         tolerance_sigmas: float = 3.0,
                         protocol: Protocol = Protocol.COW,
-                        model: PnsModel = PnsModel()) -> EstimationReport:
-    """Visibility estimates per class, the abort rule, and Eve's information
-    computed from the worst visibility.
+                        model: PnsModel = PnsModel.DETECTABLE_AS_PRINTED) -> EstimationReport:
+    """The abort rule on the visibilities of the two classes, and Eve's
+    information computed from the worse of them.
 
     The protocol demands equal visibilities across the two classes. A class's
     visibility is 2p - 1 for the share p of its clicks on D_M1, so the run
@@ -158,11 +159,9 @@ def estimate_parameters(stats: MonitoringStats, params: ProtocolParams,
         raise ValueError(f"tolerance_sigmas must be finite and > 0, got {tolerance_sigmas}")
     v_d, v_10 = stats.v_d, stats.v_10
     if math.isnan(v_d) or math.isnan(v_10):
-        no_decoy = math.isnan(v_d)
-        return EstimationReport(
-            v_10=float("nan"), v_d=v_d, abort=True, i_eve=1.0,
-            reason=AbortReason.NO_DECOY_STATISTICS if no_decoy
-            else AbortReason.NO_BIT_PAIR_STATISTICS)
+        reason = (AbortReason.NO_DECOY_STATISTICS if math.isnan(v_d)
+                  else AbortReason.NO_BIT_PAIR_STATISTICS)
+        return EstimationReport(abort=True, reason=reason, i_eve=1.0)
 
     n_10, n_d = stats.n_m1_10 + stats.n_m2_10, stats.n_m1_d + stats.n_m2_d
     p_10, p_d = stats.n_m1_10 / n_10, stats.n_m1_d / n_d
@@ -174,7 +173,7 @@ def estimate_parameters(stats: MonitoringStats, params: ProtocolParams,
     v_worst = min(v_10, v_d)
     eve = eve_information(replace(params, v=min(max(v_worst, 0.0), 1.0)),
                           protocol, model)
-    return EstimationReport(v_10=v_10, v_d=v_d, abort=mismatch,
+    return EstimationReport(abort=mismatch,
                             reason=AbortReason.VISIBILITY_MISMATCH if mismatch
                             else AbortReason.NONE,
                             i_eve=eve.i_eve)
@@ -193,7 +192,7 @@ def distill_accounting(n_sifted: int, q: float, i_eve: float) -> DistillationSum
 def run_protocol(config: OpticsConfig, n_symbols: int, seed: int,
                  attack=None, tolerance_sigmas: float = 3.0,
                  protocol: Protocol = Protocol.COW,
-                 model: PnsModel = PnsModel()) -> ProtocolReport:
+                 model: PnsModel = PnsModel.DETECTABLE_AS_PRINTED) -> ProtocolReport:
     """End-to-end exchange: generate, optionally attack, simulate, announce,
     sift, estimate, distill. An abort is a result, not an exception."""
     sim = run_simulation(config, n_symbols, seed, attack)

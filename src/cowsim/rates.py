@@ -2,11 +2,12 @@
 
 All functions are pure and side-effect free. One numpy kernel, `_keyrate`,
 composes R_sk = R_s (1 - h(Q) - I_Eve) at a mean photon number that may be an
-array: `secret_key_rate`, `sifted_rate` and `qber` are its float view at
-params.mu. The optimizer scores whole mu grids with it, and a batch of points
-at once: t and v may then be (P, 1) columns, one row per point. The kernel also
-decides the model's domain: the linearized counting rate mu t t_B eta may not
-exceed 1, and a dead channel (R_s = 0) has an all-zero QBER.
+array: `secret_key_rate` is its float view at params.mu, and its result
+carries the sifted rate, the QBER and Eve's information. The optimizer scores
+whole mu grids with it, and a batch of points at once: t and v may then be
+(P, 1) columns, one row per point. The kernel also decides the model's domain:
+the linearized counting rate mu t t_B eta may not exceed 1, and a dead channel
+(R_s = 0) has an all-zero QBER.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "Protocol",
-    "PnsKind",
     "PnsModel",
     "RateMode",
     "ProtocolParams",
@@ -27,13 +27,9 @@ __all__ = [
     "EveInfo",
     "KeyRateResult",
     "binary_entropy",
-    "transmission",
     "counting_rate",
     "monitoring_rate",
-    "sifted_rate",
-    "qber",
     "xi",
-    "pns_fraction",
     "eve_information",
     "secret_key_rate",
     "predicted_signature",
@@ -46,14 +42,7 @@ class Protocol(Enum):
     BB84_PLAIN = "bb84"
 
 
-class PnsKind(Enum):
-    ERROR_FREE = "error-free"
-    DETECTABLE_AS_PRINTED = "printed"
-    DETECTABLE_ALT = "alt"
-
-
-@dataclass(frozen=True)
-class PnsModel:
+class PnsModel(Enum):
     """Photon-number-splitting accounting model.
 
     The error-free variant gives Eve mu*(1-t); the two detectable variants give
@@ -61,7 +50,9 @@ class PnsModel:
     alternative). The fraction is clamped into [0, 1].
     """
 
-    kind: PnsKind = PnsKind.DETECTABLE_AS_PRINTED
+    ERROR_FREE = "error-free"
+    DETECTABLE_AS_PRINTED = "printed"
+    DETECTABLE_ALT = "alt"
 
 
 class RateMode(Enum):
@@ -114,12 +105,6 @@ class ProtocolParams:
     def t(self) -> float:
         """Channel transmission derived from the dB loss."""
         return 10.0 ** (-self.loss_db / 10.0)
-
-    @classmethod
-    def from_transmission(cls, mu: float, t: float, **kwargs) -> "ProtocolParams":
-        if not 0.0 < t <= 1.0:
-            raise ValueError(f"t must be in (0, 1], got {t}")
-        return cls(mu=mu, loss_db=-10.0 * math.log10(t), **kwargs)
 
 
 @dataclass(frozen=True)
@@ -180,9 +165,9 @@ def _xi(mu_t):
 
 
 def _pns_r(mu, t, model: PnsModel):
-    if model.kind is PnsKind.ERROR_FREE:
+    if model is PnsModel.ERROR_FREE:
         r = mu * (1.0 - t)
-    elif model.kind is PnsKind.DETECTABLE_AS_PRINTED:
+    elif model is PnsModel.DETECTABLE_AS_PRINTED:
         with np.errstate(over="ignore"):
             r = mu / (2.0 * t)
     else:
@@ -203,7 +188,7 @@ def _eve(mu, t, v, protocol: Protocol, model: PnsModel):
     """Return (r, p_ir, i_ir, i_eve, feasible) as numpy arrays."""
     if protocol is Protocol.BB84_PLAIN:
         # without decoy states every multi-photon pulse leaks for free
-        model = PnsModel(PnsKind.ERROR_FREE)
+        model = PnsModel.ERROR_FREE
     r = np.asarray(_pns_r(mu, t, model), dtype=float)
     scale, loss = _intercept_resend(mu * t, protocol)
     room = 1.0 - r
@@ -256,14 +241,7 @@ def binary_entropy(p: float) -> float:
     return float(_entropy(p))
 
 
-def transmission(loss_db: float) -> float:
-    """Channel transmission t = 10**(-loss_db/10)."""
-    if loss_db < 0.0:
-        raise ValueError(f"loss_db must be >= 0, got {loss_db}")
-    return 10.0 ** (-loss_db / 10.0)
-
-
-def counting_rate(params: ProtocolParams, mode: RateMode = RateMode.EXACT) -> float:
+def counting_rate(params: ProtocolParams, mode: RateMode) -> float:
     """Data-line detection probability per non-empty pulse.
 
     EXACT is the Poissonian 1 - exp(-mu t t_B eta); LINEARIZED is the product
@@ -277,38 +255,12 @@ def monitoring_rate(params: ProtocolParams) -> float:
     return float(0.5 * params.mu * params.t * (1.0 - params.t_b) * params.eta)
 
 
-def sifted_rate(params: ProtocolParams,
-                mode: RateMode = RateMode.LINEARIZED) -> float:
-    """Sifted-key fraction per emitted bit, [R + 2 p_d (1-R)] (1-f).
-
-    The same expression holds for every protocol variant here: the decoy
-    fraction f plays the role of the rarely-used basis, so p_s = 1 - f.
-    """
-    return secret_key_rate(params, mode=mode).r_s
-
-
-def qber(params: ProtocolParams, protocol: Protocol = Protocol.COW,
-         mode: RateMode = RateMode.LINEARIZED) -> QberBreakdown:
-    """QBER split into its optical and dark-count parts.
-
-    The arrival-time measurement is interference free, so the optical part is
-    identically zero for the time-bin protocol and only the BB84 variants pick
-    up R (1-V)/2. A dead channel (zero sifted rate) has all parts zero.
-    """
-    return secret_key_rate(params, protocol, mode=mode).qber
-
-
 def xi(mu: float, t: float) -> float:
     """Probability 2 e^{-mu t} / (1 + e^{-mu t}) that an attacker sees a photon
     in exactly one pulse of a non-empty pair, given she saw at least one."""
     if mu < 0.0 or not 0.0 < t <= 1.0:
         raise ValueError("require mu >= 0 and t in (0, 1]")
     return float(_xi(mu * t))
-
-
-def pns_fraction(params: ProtocolParams, model: PnsModel) -> float:
-    """Fraction of bits Eve learns for free from multi-photon pulses and loss."""
-    return float(_pns_r(params.mu, params.t, model))
 
 
 def _eve_info(eve) -> EveInfo:
@@ -318,7 +270,7 @@ def _eve_info(eve) -> EveInfo:
 
 
 def eve_information(params: ProtocolParams, protocol: Protocol = Protocol.COW,
-                    model: PnsModel = PnsModel()) -> EveInfo:
+                    model: PnsModel = PnsModel.DETECTABLE_AS_PRINTED) -> EveInfo:
     """Eve's total information fraction r + I for the observed visibility.
 
     The intercept-resend fraction p_ir is inferred from the visibility deficit;
@@ -330,12 +282,17 @@ def eve_information(params: ProtocolParams, protocol: Protocol = Protocol.COW,
 
 
 def secret_key_rate(params: ProtocolParams, protocol: Protocol = Protocol.COW,
-                    model: PnsModel = PnsModel(),
+                    model: PnsModel = PnsModel.DETECTABLE_AS_PRINTED,
                     mode: RateMode = RateMode.LINEARIZED) -> KeyRateResult:
     """Secret fraction R_s (1 - h(Q) - I_Eve) with its full breakdown.
 
-    r_sk_raw keeps the possibly negative value for diagnostics; r_sk is the
-    clamped max(0, .) that curves and optimizers use.
+    r_s is the sifted fraction per emitted bit, [R + 2 p_d (1-R)] (1-f), for
+    every protocol variant: the decoy fraction f plays the role of the
+    rarely-used basis. The arrival-time measurement is interference free, so
+    the QBER's optical part is zero for the time-bin protocol and only the
+    BB84 variants pick up R (1-V)/2; a dead channel (R_s = 0) has all parts
+    zero. r_sk_raw keeps the possibly negative value for diagnostics; r_sk is
+    the clamped max(0, .) that curves and optimizers use.
     """
     r_s, q_opt, q_det, eve, raw = _keyrate(params, params.mu, protocol, model, mode)
     q_opt, q_det, raw = float(q_opt), float(q_det), float(raw)
@@ -345,8 +302,10 @@ def secret_key_rate(params: ProtocolParams, protocol: Protocol = Protocol.COW,
                          eve=_eve_info(eve), r_sk_raw=raw, r_sk=max(0.0, raw))
 
 
-def predicted_signature(params: ProtocolParams, p_ir: float, protocol: Protocol = Protocol.COW,
-                        model: PnsModel = PnsModel()) -> tuple[float, float]:
+def predicted_signature(params: ProtocolParams, p_ir: float,
+                        protocol: Protocol = Protocol.COW,
+                        model: PnsModel = PnsModel.DETECTABLE_AS_PRINTED
+                        ) -> tuple[float, float]:
     """Closed-form (V, I_Eve) of an intercept-resend attack on a fraction p_ir
     of the windows, p_ir = 0 for none: the inverse of eve_information."""
     r = eve_information(params, protocol, model).r

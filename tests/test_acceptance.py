@@ -17,7 +17,6 @@ from cowsim import (
     AttackConfig,
     AttackKind,
     OpticsConfig,
-    PnsKind,
     PnsModel,
     Protocol,
     ProtocolParams,
@@ -50,7 +49,7 @@ def test_criterion_1_closed_form_regression():
     t0 = time.perf_counter()
     params = ProtocolParams(mu=0.5, loss_db=0.0, v=1.0, **FIG2)
     res = secret_key_rate(params, Protocol.COW,
-                          PnsModel(PnsKind.DETECTABLE_AS_PRINTED))
+                          PnsModel.DETECTABLE_AS_PRINTED)
     elapsed = time.perf_counter() - t0
     assert abs(res.r_sk - RSK_REFERENCE) <= 1e-4
     assert elapsed < 1.0
@@ -63,7 +62,7 @@ def test_criterion_2_curve_facts():
     # mu/(2t) grows with loss and reverses the cutoff ordering of fact (c),
     # which is the recorded open question about that expression.
     t0 = time.perf_counter()
-    model = PnsModel(PnsKind.DETECTABLE_ALT)
+    model = PnsModel.DETECTABLE_ALT
     template = ProtocolParams(mu=0.5, loss_db=0.0, v=1.0, **FIG2)
     points = sweep_loss(template, list(Protocol), LOSS_GRID, model,
                         visibilities=[1.0, 0.9, 0.8])
@@ -231,7 +230,7 @@ def test_criterion_7_protocol_pipeline():
     pair = sift(rep.sim.stream, rep.sim.record.d_b)
     assert np.array_equal(pair.alice_bits, pair.bob_bits)
 
-    ana = secret_key_rate(params, Protocol.COW, PnsModel(), RateMode.EXACT)
+    ana = secret_key_rate(params, Protocol.COW, PnsModel.DETECTABLE_AS_PRINTED, RateMode.EXACT)
     r_ex = counting_rate(params, RateMode.EXACT)
     p_sift = (1.0 - params.f) * r_ex
     sigma = (1.0 - rep.estimation.i_eve) * math.sqrt(p_sift * (1.0 - p_sift) / n)

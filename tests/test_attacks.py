@@ -13,7 +13,6 @@ from cowsim import (
     AttackConfig,
     AttackKind,
     OpticsConfig,
-    PnsKind,
     PnsModel,
     Protocol,
     ProtocolParams,
@@ -255,20 +254,20 @@ class TestPredictedSignature:
     def test_no_attack(self):
         params = attack_params(mu=0.05, loss_db=0.0)
         v, i_eve = predicted_signature(params, 0.0, Protocol.COW,
-                                       PnsModel(PnsKind.ERROR_FREE))
+                                       PnsModel.ERROR_FREE)
         assert v == 1.0 and i_eve == 0.0
 
     def test_half_attack_values(self):
         params = attack_params(mu=0.05, loss_db=0.0)
         v, i_eve = predicted_signature(params, 0.5, Protocol.COW,
-                                       PnsModel(PnsKind.ERROR_FREE))
+                                       PnsModel.ERROR_FREE)
         assert i_eve == pytest.approx(0.5, rel=1e-12)
         assert 1.0 - v == pytest.approx(0.4875026035157897, abs=1e-9)
 
     @pytest.mark.parametrize("p_ir", [0.1, 0.5, 0.9])
     def test_round_trip_through_estimator(self, p_ir):
         params = attack_params(mu=0.05, loss_db=0.0)
-        model = PnsModel(PnsKind.ERROR_FREE)
+        model = PnsModel.ERROR_FREE
         v, i_eve = predicted_signature(params, p_ir, Protocol.COW, model)
         est = eve_information(
             ProtocolParams(mu=0.05, loss_db=0.0, f=params.f, t_b=params.t_b,
@@ -279,15 +278,20 @@ class TestPredictedSignature:
 
 
 class TestDataLineSideEffects:
+    # Each single-seed z-check below fails a correct draw with probability
+    # P(|z| > 4) = 6.3e-5. At 2e6 symbols 4 sd is narrower than 3 sd at 5e5
+    # symbols, so a bias a 3 sd check at 5e5 would catch still fails here.
+    N = 2_000_000
+
     def test_rate_matches_policy_oracle(self):
         params = attack_params()
         cfg = OpticsConfig(params=params, insertion_loss=0.0)
         for p_ir in (0.5, 1.0):
-            sim = run_simulation(cfg, 500000, seed=23, attack=ir(p_ir))
+            sim = run_simulation(cfg, self.N, seed=23, attack=ir(p_ir))
             _, _, expected = data_click_probs(params, p_ir)
             n = sim.n_bits
             sigma = math.sqrt(expected * (1 - expected) / n)
-            assert abs(sim.empirical_r - expected) < 3 * sigma
+            assert abs(sim.empirical_r - expected) < 4 * sigma
 
     def test_qber_stays_at_no_attack_level(self):
         # time-basis resends land in the correct slot; with darks as the only
@@ -295,8 +299,8 @@ class TestDataLineSideEffects:
         # with the policy's slightly different click rates
         params = attack_params(p_d=1e-4)
         cfg = OpticsConfig(params=params, insertion_loss=0.0)
-        base = run_protocol(cfg, 500000, seed=29).qber
-        atk = run_protocol(cfg, 500000, seed=31, attack=ir(1.0)).qber
+        base = run_protocol(cfg, self.N, seed=29).qber
+        atk = run_protocol(cfg, self.N, seed=31, attack=ir(1.0)).qber
 
         def oracle(p_ir):
             p_un, p_att, _ = data_click_probs(params, p_ir)
@@ -309,7 +313,7 @@ class TestDataLineSideEffects:
         for est, p_ir in ((base, 0.0), (atk, 1.0)):
             q_ref = oracle(p_ir)
             sigma = math.sqrt(q_ref * (1 - q_ref) / est.n_sifted)
-            assert abs(est.value - q_ref) < 3 * sigma
+            assert abs(est.value - q_ref) < 4 * sigma
         # and the attack-induced change itself is marginal
         assert abs(atk.value - base.value) < 6 * math.sqrt(
             base.value * (1 - base.value) / base.n_sifted)

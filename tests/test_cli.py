@@ -3,10 +3,13 @@ byte-level determinism."""
 
 import contextlib
 import io
+import os
+import re
 import subprocess
 import sys
 import types
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,8 @@ import cowsim
 import cowsim.simulation
 from cowsim.cli import main
 from cowsim.config import DEFAULTS, ConfigError, RunConfig
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*args):
@@ -158,6 +163,17 @@ class TestSimulateCommand:
         row = dict(zip(header, rows[0]))
         assert row["abort"] == "true"
         assert row["n_secret"] == "0"
+
+    def test_measured_class_visibility_survives_an_abort(self):
+        # without decoys the run aborts for want of decoy statistics, but the
+        # 1-0 class was measured (16 D_M1 clicks, no D_M2 click): v_10 is 1
+        code, out, _ = run_cli("simulate", "--set", "f=0", "--set", "n_symbols=20000",
+                               "--seed", "5")
+        assert code == 2
+        header, rows = table(out)
+        row = dict(zip(header, rows[0]))
+        assert row["abort_reason"] == "no-decoy-statistics"
+        assert row["v_10"] == "1" and row["v_d"] == "nan"
 
     def test_unknown_attack_is_one_error_line(self):
         # intercept-resend is the only attack that acts on the stream
@@ -370,7 +386,18 @@ class TestPackage:
         names = {n for n, v in vars(cowsim).items()
                  if not n.startswith("_") and not isinstance(v, types.ModuleType)}
         assert names == set().union(*(m.__all__ for m in modules))
-        assert len(names) == 58
+        assert len(names) == 53
+
+    def test_readme_python_blocks_run(self):
+        # a name the package no longer exports cannot linger in the docs
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```python\n(.*?)^```", text, re.S | re.M)
+        assert blocks
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        for code in blocks:
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
 
 
 class TestDeterminism:

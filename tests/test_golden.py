@@ -51,7 +51,14 @@ simulate_bb84_intercept_resend now exits 0 where it exited 2: that argv
 aborts on 41 of seeds 0-59 with the byte-wise draw and on 45 with the float
 one, and seed 5 is one that runs through. It was not re-seeded, so it still
 pins the predicted signature, and simulate_no_decoy_abort still pins the
-bytes of an aborted run."""
+bytes of an aborted run.
+
+simulate_no_decoy_abort was regenerated when the v_10 and v_d columns began
+to read the monitoring tallies instead of copies kept in the estimation
+report. Without decoys the run aborts for want of decoy statistics, and the
+copy wrote v_10 = nan although the 1-0 class had 16 D_M1 clicks and no D_M2
+click; the column now reads 1. Only that field moved, and the exit code
+stays 2. Every other case kept its hash."""
 
 import hashlib
 
@@ -97,7 +104,7 @@ GOLDEN = {
         {"out.csv": "fee15b8a47b0f112be2f267fef3e7f341029fcdce94eeb0e2f07a8260bcf1f11"}),
     "simulate_no_decoy_abort": (
         ["simulate", "--set", "f=0", "--set", "n_symbols=20000", "--seed", "5"], 2,
-        {"out.csv": "645e0ee4af4b4f34356cb196a8ca6a20531e76e2d52fbb70b8fb49a919a36750"}),
+        {"out.csv": "b7efff3e07e80baf87c20fe1c8228641a3152aeef9b534332606a851997605ee"}),
     "simulate_bb84_intercept_resend": (
         ["simulate", "--set", "n_symbols=20000", "--seed", "5", "--protocol", "bb84",
          "--pns-model", "alt", "--set", "attack=intercept-resend", "--set", "p_ir=0.5",

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from cowsim import (
     OptimizationSpec,
-    PnsKind,
     PnsModel,
     Protocol,
     ProtocolParams,
@@ -92,32 +91,32 @@ def assert_batch_matches_scalar(template, losses, visibilities, protocol, model,
 class TestOptimizeMu:
     def test_cow_boundary_optimum(self):
         # p_d=0, V=1, t=1: objective ~ mu (1 - mu/2), stationary at the bound
-        res = optimize_mu(params(p_d=0.0), Protocol.COW, PnsModel())
+        res = optimize_mu(params(p_d=0.0), Protocol.COW, PnsModel.DETECTABLE_AS_PRINTED)
         assert res.mu_star == pytest.approx(1.0, abs=1e-4)
         assert not res.all_zero
 
     def test_bb84_plain_half_loss(self):
-        p = ProtocolParams.from_transmission(0.5, 0.5, f=0.1, t_b=1.0,
-                                             eta=0.1, p_d=0.0, v=1.0)
-        res = optimize_mu(p, Protocol.BB84_PLAIN, PnsModel())
+        p = ProtocolParams(mu=0.5, loss_db=-10.0 * math.log10(0.5), f=0.1, t_b=1.0,
+                           eta=0.1, p_d=0.0, v=1.0)
+        res = optimize_mu(p, Protocol.BB84_PLAIN, PnsModel.DETECTABLE_AS_PRINTED)
         assert res.mu_star == pytest.approx(1.0, abs=1e-3)
 
     def test_bb84_plain_clamped(self):
         # unconstrained optimum 1/(2(1-t)) = 5 exceeds mu_max
-        p = ProtocolParams.from_transmission(0.5, 0.9, f=0.1, t_b=1.0,
-                                             eta=0.1, p_d=0.0, v=1.0)
-        res = optimize_mu(p, Protocol.BB84_PLAIN, PnsModel())
+        p = ProtocolParams(mu=0.5, loss_db=-10.0 * math.log10(0.9), f=0.1, t_b=1.0,
+                           eta=0.1, p_d=0.0, v=1.0)
+        res = optimize_mu(p, Protocol.BB84_PLAIN, PnsModel.DETECTABLE_AS_PRINTED)
         assert res.mu_star == pytest.approx(1.0, abs=1e-3)
 
     def test_all_zero_objective(self):
-        res = optimize_mu(params(eta=0.0, p_d=0.0), Protocol.COW, PnsModel())
+        res = optimize_mu(params(eta=0.0, p_d=0.0), Protocol.COW, PnsModel.DETECTABLE_AS_PRINTED)
         assert res.all_zero
         assert res.mu_star == OptimizationSpec().mu_min
         assert res.keyrate.r_sk == 0.0
 
     def test_deterministic(self):
-        a = optimize_mu(params(loss_db=7.0, v=0.9), Protocol.COW, PnsModel())
-        b = optimize_mu(params(loss_db=7.0, v=0.9), Protocol.COW, PnsModel())
+        a = optimize_mu(params(loss_db=7.0, v=0.9), Protocol.COW, PnsModel.DETECTABLE_AS_PRINTED)
+        b = optimize_mu(params(loss_db=7.0, v=0.9), Protocol.COW, PnsModel.DETECTABLE_AS_PRINTED)
         assert a.mu_star == b.mu_star
         assert a.keyrate.r_sk == b.keyrate.r_sk
 
@@ -147,7 +146,7 @@ class TestBatchedAgainstScalar:
     def test_all_zero_beside_positive(self):
         # PNS as printed leaves COW nothing past about 15 dB at V = 0.9
         want = assert_batch_matches_scalar(params(), [0.0, 20.0, 5.0], [0.9],
-                                           Protocol.COW, PnsModel())
+                                           Protocol.COW, PnsModel.DETECTABLE_AS_PRINTED)
         assert [w[2] for w in want] == [False, True, False]
         assert want[1][:2] == (OptimizationSpec().mu_min, 0.0)
 
@@ -156,7 +155,7 @@ class TestBatchedAgainstScalar:
         # the grid's last cell, beside points refined in a two-cell bracket
         spec = OptimizationSpec()
         want = assert_batch_matches_scalar(params(p_d=0.0), [0.0, 10.0], [1.0, 0.9],
-                                           Protocol.COW, PnsModel(PnsKind.DETECTABLE_ALT))
+                                           Protocol.COW, PnsModel.DETECTABLE_ALT)
         grid = np.linspace(spec.mu_min, spec.mu_max, spec.grid_points)
         assert want[0][0] >= grid[-2]
         assert any(w[0] < grid[-2] for w in want)
@@ -167,24 +166,26 @@ class TestBatchedAgainstScalar:
         spec = OptimizationSpec(refine_tolerance=1e-300)
         want = assert_batch_matches_scalar(params(t_b=0.9), self.LOSSES, [1.0, 0.8],
                                            Protocol.BB84_DECOY,
-                                           PnsModel(PnsKind.DETECTABLE_ALT), spec)
+                                           PnsModel.DETECTABLE_ALT, spec)
         assert len({w[3] for w in want if not w[2]}) > 1
 
     @pytest.mark.parametrize("mode", list(RateMode))
-    @pytest.mark.parametrize("kind", list(PnsKind))
-    def test_every_kind_and_mode(self, kind, mode):
+    @pytest.mark.parametrize("model", list(PnsModel))
+    def test_models_and_modes(self, model, mode):
         for protocol in Protocol:
             for tol in (1e-6, 1e-300):
                 assert_batch_matches_scalar(params(t_b=0.9), self.LOSSES, [1.0, 0.9, 0.8],
-                                            protocol, PnsModel(kind),
+                                            protocol, model,
                                             OptimizationSpec(refine_tolerance=tol), mode)
 
     def test_sweep_reports_the_scalar_points(self):
         losses, vis = [0.0, 10.0, 20.0], [1.0, 0.8]
         for protocol in Protocol:
-            pts = sweep_loss(params(), [protocol], losses, PnsModel(), visibilities=vis)
-            want = [scalar_optimize(params(loss_db=loss, v=v), protocol, PnsModel(),
-                                    OptimizationSpec(), RateMode.LINEARIZED)
+            pts = sweep_loss(params(), [protocol], losses, PnsModel.DETECTABLE_AS_PRINTED,
+                             visibilities=vis)
+            want = [scalar_optimize(params(loss_db=loss, v=v), protocol,
+                                    PnsModel.DETECTABLE_AS_PRINTED, OptimizationSpec(),
+                                    RateMode.LINEARIZED)
                     for v in vis for loss in losses]
             assert [bits(p.mu_star, p.r_sk_star, None) for p in pts] == \
                 [bits(w[0], w[1], None) for w in want]
@@ -192,13 +193,13 @@ class TestBatchedAgainstScalar:
     @settings(max_examples=40, deadline=None)
     @given(losses=st.lists(st.floats(0.0, 60.0), min_size=1, max_size=5),
            visibilities=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
-           protocol=st.sampled_from(list(Protocol)), kind=st.sampled_from(list(PnsKind)),
+           protocol=st.sampled_from(list(Protocol)), model=st.sampled_from(list(PnsModel)),
            mode=st.sampled_from(list(RateMode)), t_b=st.sampled_from([0.9, 1.0]),
            p_d=st.sampled_from([0.0, 1e-5, 1e-3]), tol=st.sampled_from([1e-6, 1e-300]))
-    def test_random_batches(self, losses, visibilities, protocol, kind, mode, t_b,
+    def test_random_batches(self, losses, visibilities, protocol, model, mode, t_b,
                             p_d, tol):
         assert_batch_matches_scalar(params(t_b=t_b, p_d=p_d), losses, visibilities,
-                                    protocol, PnsModel(kind),
+                                    protocol, model,
                                     OptimizationSpec(refine_tolerance=tol), mode)
 
 
@@ -209,7 +210,7 @@ class TestBruteForceAgreement:
         spec = OptimizationSpec()
         dense = np.linspace(spec.mu_min, spec.mu_max, 1_000_000)
         protocols = list(Protocol)
-        kinds = list(PnsKind)
+        models = list(PnsModel)
         for _ in range(50):
             p = ProtocolParams(
                 mu=0.5,
@@ -221,7 +222,7 @@ class TestBruteForceAgreement:
                 v=float(rng.uniform(0.7, 1.0)),
             )
             protocol = protocols[int(rng.integers(len(protocols)))]
-            model = PnsModel(kinds[int(rng.integers(len(kinds)))])
+            model = models[int(rng.integers(len(models)))]
             res = optimize_mu(p, protocol, model, spec)
             raw = _keyrate(p, dense, protocol, model, RateMode.LINEARIZED)[-1]
             brute = float(np.max(np.maximum(raw, 0.0)))
@@ -237,13 +238,13 @@ class TestSweepLoss:
     LOSSES = [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0]
 
     def test_single_point_matches_optimize(self):
-        pt = sweep_loss(params(), [Protocol.COW], [0.0], PnsModel())[0]
-        res = optimize_mu(params(loss_db=0.0), Protocol.COW, PnsModel())
+        pt = sweep_loss(params(), [Protocol.COW], [0.0], PnsModel.DETECTABLE_AS_PRINTED)[0]
+        res = optimize_mu(params(loss_db=0.0), Protocol.COW, PnsModel.DETECTABLE_AS_PRINTED)
         assert pt.mu_star == res.mu_star
         assert pt.r_sk_star == res.keyrate.r_sk
 
     def test_nonincreasing_in_loss(self):
-        pts = sweep_loss(params(), list(Protocol), self.LOSSES, PnsModel(),
+        pts = sweep_loss(params(), list(Protocol), self.LOSSES, PnsModel.DETECTABLE_AS_PRINTED,
                          visibilities=[1.0, 0.9, 0.8])
         series = {}
         for p in pts:
@@ -253,7 +254,7 @@ class TestSweepLoss:
 
     def test_v1_identity(self):
         pts = sweep_loss(params(), [Protocol.COW, Protocol.BB84_DECOY],
-                         self.LOSSES, PnsModel(), visibilities=[1.0])
+                         self.LOSSES, PnsModel.DETECTABLE_AS_PRINTED, visibilities=[1.0])
         cow = [p.r_sk_star for p in pts if p.protocol is Protocol.COW]
         dec = [p.r_sk_star for p in pts if p.protocol is Protocol.BB84_DECOY]
         for a, b in zip(cow, dec):
@@ -262,7 +263,7 @@ class TestSweepLoss:
 
     def test_row_ordering(self):
         pts = sweep_loss(params(), [Protocol.COW, Protocol.BB84_PLAIN],
-                         [0.0, 10.0], PnsModel(), visibilities=[1.0, 0.9])
+                         [0.0, 10.0], PnsModel.DETECTABLE_AS_PRINTED, visibilities=[1.0, 0.9])
         key = [(p.protocol.value, p.v, p.loss_db) for p in pts]
         assert key == [
             ("cow", 1.0, 0.0), ("cow", 1.0, 10.0),
@@ -272,25 +273,26 @@ class TestSweepLoss:
         ]
 
     def test_bit_identical_rerun(self):
-        a = sweep_loss(params(), list(Protocol), self.LOSSES, PnsModel(),
+        a = sweep_loss(params(), list(Protocol), self.LOSSES, PnsModel.DETECTABLE_AS_PRINTED,
                        visibilities=[0.9])
-        b = sweep_loss(params(), list(Protocol), self.LOSSES, PnsModel(),
+        b = sweep_loss(params(), list(Protocol), self.LOSSES, PnsModel.DETECTABLE_AS_PRINTED,
                        visibilities=[0.9])
         assert a == b
 
     def test_bad_grid(self):
         with pytest.raises(ValueError):
-            sweep_loss(params(), [Protocol.COW], [], PnsModel())
+            sweep_loss(params(), [Protocol.COW], [], PnsModel.DETECTABLE_AS_PRINTED)
         with pytest.raises(ValueError):
-            sweep_loss(params(), [Protocol.COW], [5.0, 5.0], PnsModel())
+            sweep_loss(params(), [Protocol.COW], [5.0, 5.0], PnsModel.DETECTABLE_AS_PRINTED)
 
     def test_no_visibilities_no_points(self):
-        assert sweep_loss(params(), [Protocol.COW], [0.0], PnsModel(), visibilities=[]) == []
+        assert sweep_loss(params(), [Protocol.COW], [0.0], PnsModel.DETECTABLE_AS_PRINTED,
+                          visibilities=[]) == []
 
     def test_points_clamped_and_bounded(self):
         from cowsim import OptimizationSpec
         spec = OptimizationSpec()
-        pts = sweep_loss(params(v=0.8), list(Protocol), self.LOSSES, PnsModel(),
+        pts = sweep_loss(params(v=0.8), list(Protocol), self.LOSSES, PnsModel.DETECTABLE_AS_PRINTED,
                          spec=spec)
         for p in pts:
             assert p.r_sk_star >= 0.0
@@ -299,21 +301,21 @@ class TestSweepLoss:
 
 class TestVisibilityRobustness:
     def test_time_bin_protocol_more_robust(self):
-        for kind in (PnsKind.DETECTABLE_AS_PRINTED, PnsKind.DETECTABLE_ALT):
-            rob = visibility_robustness(params(), 10.0, PnsModel(kind))
+        for model in (PnsModel.DETECTABLE_AS_PRINTED, PnsModel.DETECTABLE_ALT):
+            rob = visibility_robustness(params(), 10.0, model)
             assert not np.isnan(rob.cow_ratio) and not np.isnan(rob.bb84_decoy_ratio)
             assert rob.cow_ratio > rob.bb84_decoy_ratio
 
     def test_ratios_at_most_one(self):
-        rob = visibility_robustness(params(), 10.0, PnsModel())
+        rob = visibility_robustness(params(), 10.0, PnsModel.DETECTABLE_AS_PRINTED)
         assert 0.0 <= rob.bb84_decoy_ratio <= 1.0
         assert 0.0 <= rob.cow_ratio <= 1.0
 
     def test_undefined_at_dead_channel(self):
-        rob = visibility_robustness(params(p_d=0.3), 50.0, PnsModel())
+        rob = visibility_robustness(params(p_d=0.3), 50.0, PnsModel.DETECTABLE_AS_PRINTED)
         assert np.isnan(rob.cow_ratio)
 
     def test_equal_visibilities_give_unit_ratios(self):
-        rob = visibility_robustness(params(), 10.0, PnsModel(), v_low=1.0)
+        rob = visibility_robustness(params(), 10.0, PnsModel.DETECTABLE_AS_PRINTED, v_low=1.0)
         assert rob.cow_ratio == 1.0
         assert rob.bb84_decoy_ratio == 1.0

@@ -135,9 +135,9 @@ class TestSift:
 
 class TestEstimateParameters:
     def test_perfect_visibilities(self):
-        rep = estimate_parameters(MonitoringStats(100, 0, 200, 0),
-                                  params())
-        assert rep.v_10 == 1.0 and rep.v_d == 1.0
+        stats = MonitoringStats(100, 0, 200, 0)
+        rep = estimate_parameters(stats, params())
+        assert stats.v_10 == 1.0 and stats.v_d == 1.0
         assert not rep.abort
         assert rep.i_eve == pytest.approx(0.25)  # r = mu/(2t)
 
@@ -204,7 +204,7 @@ class TestRunProtocol:
         est, dist = rep.estimation, rep.distill
         assert not est.abort
         assert rep.qber.value == 0.0
-        assert est.v_10 == 1.0 and est.v_d == 1.0
+        assert rep.sim.stats.v_10 == 1.0 and rep.sim.stats.v_d == 1.0
         assert est.i_eve == pytest.approx(0.25)
         assert dist.n_secret == math.floor(dist.n_sifted * 0.75)
 
@@ -220,7 +220,7 @@ class TestRunProtocol:
     def test_secret_fraction_tracks_analysis(self):
         p = params(p_d=0.0, v=1.0)
         rep = run_protocol(OpticsConfig(params=p), 400000, seed=3)
-        ana = secret_key_rate(p, model=PnsModel(), mode=RateMode.EXACT)
+        ana = secret_key_rate(p, model=PnsModel.DETECTABLE_AS_PRINTED, mode=RateMode.EXACT)
         p_sift = (1.0 - p.f) * (1.0 - math.exp(-p.eta * p.mu * p.t * p.t_b))
         sigma = 0.75 * math.sqrt(p_sift * (1 - p_sift) / 400000)
         assert abs(rep.distill.n_secret / 400000 - ana.r_sk) < 3 * sigma

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from cowsim import (
     OptimizationSpec,
-    PnsKind,
     PnsModel,
     Protocol,
     ProtocolParams,
@@ -25,12 +24,8 @@ from cowsim import (
     eve_information,
     monitoring_rate,
     optimize_mu,
-    pns_fraction,
     predicted_signature,
-    qber,
     secret_key_rate,
-    sifted_rate,
-    transmission,
     xi,
 )
 
@@ -79,25 +74,10 @@ class TestBinaryEntropy:
         assert np.all(mid >= 0.5 * (h[:-1] + h[1:]) - 1e-12)
 
 
-class TestTransmission:
-    def test_values(self):
-        assert transmission(0.0) == 1.0
-        assert transmission(10.0) == pytest.approx(0.1, abs=1e-15)
-        assert transmission(5.0) == pytest.approx(0.316227766016838, abs=1e-6)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            transmission(-1.0)
-
-
 class TestParams:
     def test_t_consistency(self):
         p = fig2_params(mu=0.5, loss_db=7.3)
         assert abs(p.t - 10.0 ** (-0.73)) <= 1e-12 * p.t
-
-    def test_from_transmission_roundtrip(self):
-        p = ProtocolParams.from_transmission(0.5, 0.316227766016838)
-        assert p.loss_db == pytest.approx(5.0, abs=1e-9)
 
     @pytest.mark.parametrize("bad", [
         dict(mu=-0.1), dict(loss_db=-1.0), dict(f=1.0), dict(t_b=0.0),
@@ -151,46 +131,46 @@ class TestMonitoringRate:
 class TestSiftedRate:
     def test_reduces_to_counting(self):
         p = fig2_params(p_d=0.0, f=0.0)
-        assert sifted_rate(p) == pytest.approx(counting_rate(p, RateMode.LINEARIZED))
+        assert secret_key_rate(p).r_s == pytest.approx(counting_rate(p, RateMode.LINEARIZED))
 
     def test_dark_floor(self):
         p = fig2_params(mu=0.0)
-        assert sifted_rate(p) == pytest.approx(1.8e-5, rel=1e-12)
+        assert secret_key_rate(p).r_s == pytest.approx(1.8e-5, rel=1e-12)
 
     def test_value(self):
-        assert sifted_rate(fig2_params()) == pytest.approx(SIFTED_FIG2, abs=1e-7)
+        assert secret_key_rate(fig2_params()).r_s == pytest.approx(SIFTED_FIG2, abs=1e-7)
 
 
 class TestQber:
     def test_ideal_bb84(self):
         p = fig2_params(p_d=0.0, v=1.0)
-        assert qber(p, Protocol.BB84_DECOY).q_total == 0.0
+        assert secret_key_rate(p, Protocol.BB84_DECOY).qber.q_total == 0.0
 
     def test_optical_only(self):
         p = fig2_params(p_d=0.0, v=0.9)
-        q = qber(p, Protocol.BB84_DECOY)
+        q = secret_key_rate(p, Protocol.BB84_DECOY).qber
         assert q.q_total == pytest.approx(0.05, abs=1e-12)
         assert q.q_det == 0.0
 
     def test_cow_value(self):
-        q = qber(fig2_params(), Protocol.COW)
+        q = secret_key_rate(fig2_params(), Protocol.COW).qber
         assert q.q_total == pytest.approx(QDET_FIG2, abs=1e-7)
         assert q.q_opt == 0.0
 
     def test_cow_independent_of_v(self):
-        values = {qber(fig2_params(v=v), Protocol.COW).q_total
+        values = {secret_key_rate(fig2_params(v=v), Protocol.COW).qber.q_total
                   for v in (0.0, 0.5, 0.8, 1.0)}
         assert len(values) == 1
 
     def test_components_sum(self):
         for v in (0.7, 0.9, 1.0):
-            q = qber(fig2_params(v=v), Protocol.BB84_DECOY)
+            q = secret_key_rate(fig2_params(v=v), Protocol.BB84_DECOY).qber
             assert q.q_opt + q.q_det == pytest.approx(q.q_total, abs=1e-12)
 
     def test_undefined(self):
         # a dead channel sifts nothing, so its QBER breakdown is all zero
         for proto in Protocol:
-            q = qber(fig2_params(mu=0.0, p_d=0.0, v=0.9), proto)
+            q = secret_key_rate(fig2_params(mu=0.0, p_d=0.0, v=0.9), proto).qber
             assert q == QberBreakdown(q_total=0.0, q_opt=0.0, q_det=0.0)
 
 
@@ -212,27 +192,29 @@ class TestXi:
 class TestPnsFraction:
     def test_lossless(self):
         p = fig2_params()
-        assert pns_fraction(p, PnsModel(PnsKind.ERROR_FREE)) == 0.0
+        assert eve_information(p, Protocol.COW, PnsModel.ERROR_FREE).r == 0.0
 
     def test_error_free(self):
-        p = ProtocolParams.from_transmission(0.5, 0.9, **{k: v for k, v in FIG2.items() if k != "loss_db"})
-        assert pns_fraction(p, PnsModel(PnsKind.ERROR_FREE)) == pytest.approx(0.05, rel=1e-9)
+        p = fig2_params(loss_db=-10.0 * math.log10(0.9))
+        r = eve_information(p, Protocol.COW, PnsModel.ERROR_FREE).r
+        assert r == pytest.approx(0.05, rel=1e-9)
 
     def test_printed_clamps(self):
         # at 3200 dB, t = 1e-320 and mu/(2t) overflows to inf
         for loss_db in (10.0, 3200.0):
             p = fig2_params(loss_db=loss_db)
-            assert pns_fraction(p, PnsModel(PnsKind.DETECTABLE_AS_PRINTED)) == 1.0
+            assert eve_information(p, Protocol.COW, PnsModel.DETECTABLE_AS_PRINTED).r == 1.0
 
     def test_alt(self):
         p = fig2_params(loss_db=10.0)
-        assert pns_fraction(p, PnsModel(PnsKind.DETECTABLE_ALT)) == pytest.approx(0.025, rel=1e-9)
+        r = eve_information(p, Protocol.COW, PnsModel.DETECTABLE_ALT).r
+        assert r == pytest.approx(0.025, rel=1e-9)
 
 
 class TestEveInformation:
     def test_perfect_visibility(self):
         for proto in Protocol:
-            e = eve_information(fig2_params(v=1.0), proto, PnsModel())
+            e = eve_information(fig2_params(v=1.0), proto, PnsModel.DETECTABLE_AS_PRINTED)
             assert e.i_ir == 0.0 and e.p_ir == 0.0
             assert e.i_eve == e.r
             assert e.feasible
@@ -240,13 +222,14 @@ class TestEveInformation:
     def test_cow_value(self):
         # r = 0 via the error-free model on a lossless line; mu t = 0.05
         e = eve_information(fig2_params(mu=0.05, v=0.9), Protocol.COW,
-                            PnsModel(PnsKind.ERROR_FREE))
+                            PnsModel.ERROR_FREE)
         assert e.r == 0.0
         assert e.i_ir == pytest.approx(IIR_COW_V09, abs=1e-5)
 
     def test_bb84_value(self):
         # r = mu/(2t) = 0.5 at mu=1, t=1
-        e = eve_information(fig2_params(mu=1.0, v=0.9), Protocol.BB84_DECOY, PnsModel())
+        e = eve_information(fig2_params(mu=1.0, v=0.9), Protocol.BB84_DECOY,
+                            PnsModel.DETECTABLE_AS_PRINTED)
         assert e.r == pytest.approx(0.5, rel=1e-12)
         assert e.i_ir == pytest.approx(0.1, rel=1e-9)
         assert e.p_ir == pytest.approx(0.4, rel=1e-9)
@@ -255,7 +238,7 @@ class TestEveInformation:
     def test_infeasible_is_flag_not_exception(self):
         # r clamps to 1 while V < 1: information saturates
         e = eve_information(fig2_params(mu=1.0, loss_db=10.0, v=0.9),
-                            Protocol.COW, PnsModel())
+                            Protocol.COW, PnsModel.DETECTABLE_AS_PRINTED)
         assert e.r == 1.0
         assert not e.feasible
         assert e.i_eve == 1.0
@@ -263,13 +246,13 @@ class TestEveInformation:
 
     def test_plain_bb84_uses_error_free_fraction(self):
         p = fig2_params(mu=1.0, loss_db=0.0, v=0.9)
-        e = eve_information(p, Protocol.BB84_PLAIN, PnsModel(PnsKind.DETECTABLE_AS_PRINTED))
+        e = eve_information(p, Protocol.BB84_PLAIN, PnsModel.DETECTABLE_AS_PRINTED)
         assert e.r == 0.0  # mu (1-t) with t = 1
 
     def test_time_basis_ir_buys_more_information(self):
         # same visibility deficit, same r: the time-basis attack extracts
         # i_ir = (1-V)/xi >= 1-V since xi <= 1
-        model = PnsModel(PnsKind.ERROR_FREE)  # r = 0 at t = 1
+        model = PnsModel.ERROR_FREE  # r = 0 at t = 1
         for v in (0.8, 0.9, 0.99):
             for mu in (0.05, 0.5, 2.0):
                 p = fig2_params(mu=mu, v=v)
@@ -280,13 +263,13 @@ class TestEveInformation:
 
 class TestSecretKeyRate:
     def test_reference_chain(self):
-        res = secret_key_rate(fig2_params(), Protocol.COW, PnsModel())
+        res = secret_key_rate(fig2_params(), Protocol.COW, PnsModel.DETECTABLE_AS_PRINTED)
         assert res.r_sk == pytest.approx(RSK_FIG2, abs=1e-4)
         assert res.r_s == pytest.approx(SIFTED_FIG2, abs=1e-7)
 
     def test_saturated_information_clamps(self):
         res = secret_key_rate(fig2_params(mu=1.0, loss_db=10.0, v=0.9),
-                              Protocol.COW, PnsModel())
+                              Protocol.COW, PnsModel.DETECTABLE_AS_PRINTED)
         assert res.eve.i_eve == 1.0
         assert res.r_sk == 0.0
         assert res.r_sk_raw < 0.0
@@ -295,7 +278,7 @@ class TestSecretKeyRate:
         last = None
         for mu in (1e-2, 1e-4, 1e-6):
             res = secret_key_rate(fig2_params(mu=mu, p_d=0.0), Protocol.COW,
-                                  PnsModel())
+                                  PnsModel.DETECTABLE_AS_PRINTED)
             assert res.r_sk > 0.0
             if last is not None:
                 assert res.r_sk < last
@@ -304,18 +287,20 @@ class TestSecretKeyRate:
     def test_v1_identity_cow_decoy(self):
         for loss in (0.0, 5.0, 15.0, 30.0):
             p = fig2_params(loss_db=loss, v=1.0)
-            a = secret_key_rate(p, Protocol.COW, PnsModel())
-            b = secret_key_rate(p, Protocol.BB84_DECOY, PnsModel())
+            a = secret_key_rate(p, Protocol.COW, PnsModel.DETECTABLE_AS_PRINTED)
+            b = secret_key_rate(p, Protocol.BB84_DECOY, PnsModel.DETECTABLE_AS_PRINTED)
             assert a.r_sk == b.r_sk
             assert a.r_sk_raw == b.r_sk_raw
 
     def test_monotone_in_darkness_and_visibility(self):
         base = fig2_params(loss_db=5.0, v=0.95)
         for proto in Protocol:
-            rates_pd = [secret_key_rate(replace(base, p_d=pd), proto, PnsModel()).r_sk
+            rates_pd = [secret_key_rate(replace(base, p_d=pd), proto,
+                                        PnsModel.DETECTABLE_AS_PRINTED).r_sk
                         for pd in (0.0, 1e-6, 1e-5, 1e-4)]
             assert all(a >= b for a, b in zip(rates_pd, rates_pd[1:]))
-            rates_v = [secret_key_rate(replace(base, v=v), proto, PnsModel()).r_sk
+            rates_v = [secret_key_rate(replace(base, v=v), proto,
+                                       PnsModel.DETECTABLE_AS_PRINTED).r_sk
                        for v in (1.0, 0.95, 0.9, 0.85)]
             assert all(a >= b for a, b in zip(rates_v, rates_v[1:]))
 
@@ -323,7 +308,7 @@ class TestSecretKeyRate:
         # at mu t = 1000 xi underflows to 0: V = 1 still needs no
         # intercept-resend, and any visibility deficit is infeasible
         p = fig2_params(mu=1000.0, v=1.0)
-        model = PnsModel(PnsKind.ERROR_FREE)  # r = 0 at t = 1
+        model = PnsModel.ERROR_FREE  # r = 0 at t = 1
         for proto in Protocol:
             res = secret_key_rate(p, proto, model, RateMode.EXACT)
             assert res.eve.feasible and res.eve.p_ir == 0.0 and res.eve.i_eve == 0.0
@@ -335,8 +320,8 @@ class TestSecretKeyRate:
     def test_linearized_domain_names_mu_and_mode(self):
         # mu t t_B eta = 1.2 > 1: a probability above 1 would make q_det < 0
         p = fig2_params(mu=12.0)
-        for call in (lambda: secret_key_rate(p), lambda: sifted_rate(p),
-                     lambda: qber(p, Protocol.BB84_DECOY)):
+        for call in (lambda: secret_key_rate(p),
+                     lambda: secret_key_rate(p, Protocol.BB84_DECOY)):
             with pytest.raises(ValueError, match="mu = 12 .*rate_mode"):
                 call()
         assert secret_key_rate(p, mode=RateMode.EXACT).r_s > 0.0
@@ -356,7 +341,7 @@ def analysis_inputs(draw):
                        eta=draw(num(0.0, 1.0)), p_d=draw(num(0.0, 0.5)),
                        v=draw(num(0.0, 1.0)))
     assume(mode is RateMode.EXACT or p.mu * p.t * p.t_b * p.eta <= 1.0)
-    model = PnsModel(draw(st.sampled_from(list(PnsKind))))
+    model = PnsModel(draw(st.sampled_from(list(PnsModel))))
     return p, draw(st.sampled_from(list(Protocol))), model, mode
 
 
@@ -365,9 +350,9 @@ class TestProperties:
     @given(analysis_inputs())
     @example((fig2_params(mu=2.2250738585072014e-308, loss_db=1.75, f=0.0, eta=0.5,
                           p_d=0.0, v=0.0),  # r subnormal
-              Protocol.BB84_DECOY, PnsModel(PnsKind.ERROR_FREE), RateMode.EXACT))
+              Protocol.BB84_DECOY, PnsModel.ERROR_FREE, RateMode.EXACT))
     @example((fig2_params(mu=0.0, f=0.4, p_d=5e-324),  # p_d subnormal, no signal
-              Protocol.COW, PnsModel(), RateMode.LINEARIZED))
+              Protocol.COW, PnsModel.DETECTABLE_AS_PRINTED, RateMode.LINEARIZED))
     def test_rates_bounded(self, inputs):
         p, proto, model, mode = inputs
         res = secret_key_rate(p, proto, model, mode)
@@ -405,7 +390,7 @@ class TestProperties:
 
     @settings(max_examples=500, deadline=None)
     @given(analysis_inputs(), st.floats(0.0, 1.0))
-    @example((fig2_params(mu=1.0, loss_db=10.0), Protocol.COW, PnsModel(),
+    @example((fig2_params(mu=1.0, loss_db=10.0), Protocol.COW, PnsModel.DETECTABLE_AS_PRINTED,
               RateMode.LINEARIZED), 0.9)
     def test_information_at_most_one_bit(self, inputs, scale):
         # the PNS fraction saturates at r = 1 (mu / 2t = 5 above), and Eve's
@@ -420,7 +405,7 @@ class TestProperties:
     @settings(max_examples=100, deadline=None)
     @given(analysis_inputs(), st.floats(0.0, 30.0, allow_subnormal=False))
     @example((ProtocolParams(mu=0.0, f=0.0, t_b=1.0, eta=0.5, p_d=0.0, v=0.001953125),
-              Protocol.COW, PnsModel(PnsKind.DETECTABLE_ALT), RateMode.EXACT),
+              Protocol.COW, PnsModel.DETECTABLE_ALT, RateMode.EXACT),
              1.0)  # mu* about 1e-3: an absolute 1e-6 stop left 0 dB short of its optimum
     def test_optimum_not_increasing_with_loss(self, inputs, extra_db):
         # mu_max = 1 keeps every grid point inside the linearized domain

@@ -25,10 +25,10 @@ from cowsim import (
     interferometer_outputs,
     monitoring_rate,
     propagate,
-    qber,
     run_experiment,
     run_protocol,
     run_simulation,
+    secret_key_rate,
     sift,
     simulate_stream,
 )
@@ -250,8 +250,8 @@ class TestPropagate:
         s = SymbolStream(kinds=np.array([BIT0], dtype=np.int8), mu=0.5)
         amplitudes = dense_train(s)[0]
         assert list(amplitudes) == [math.sqrt(0.5), 0.0]
-        p = ProtocolParams.from_transmission(0.5, 0.316228, f=0.1, t_b=0.9,
-                                             eta=0.1, p_d=1e-5, v=1.0)
+        p = ProtocolParams(mu=0.5, loss_db=-10.0 * math.log10(0.316228), f=0.1, t_b=0.9,
+                           eta=0.1, p_d=1e-5, v=1.0)
         data_intensity, monitor_amplitude = propagate(amplitudes, p)
         assert data_intensity[0] == pytest.approx(0.1423026, abs=1e-6)
         assert monitor_amplitude[0] ** 2 == pytest.approx(0.0158114, abs=1e-6)
@@ -606,7 +606,7 @@ class TestEstimators:
     def test_qber_matches_dark_count_formula(self):
         p = params()
         est = run_protocol(OpticsConfig(params=p), 1_000_000, seed=3).qber
-        q_ref = qber(p).q_det
+        q_ref = secret_key_rate(p).qber.q_det
         sigma = math.sqrt(q_ref * (1 - q_ref) / est.n_sifted)
         assert abs(est.value - q_ref) < 3 * sigma
         assert est.lo <= est.value <= est.hi
