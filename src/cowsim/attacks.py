@@ -6,11 +6,12 @@ resends over a lossless line. Each resent window carries its own uniformly
 random phase, which is what breaks coherence across window boundaries. Resend
 amplitudes are scaled by 1/P(at least one detection per non-empty pair) so the
 expected intensity reaching Bob matches the unattacked channel; a one-detection
-window puts its whole restored budget in the detected pulse. The count-based
-decoy-class visibility then converges to 1 - (1-r) p_ir xi, the visibility
-that rates.predicted_signature gives for the attack. Only the attack mask costs
-a draw per window, one raw byte for most; Eve's detections and phases cost
-O(resent windows).
+window puts its whole restored budget in the detected pulse. No photon is
+split, so the count-based decoy-class visibility converges to 1 - p_ir xi(mu t),
+rates.predicted_signature's 1 - (1-r) p_ir xi at r = 0. The attacked stream is
+Eve's record: an attacked window has one of her shape codes, a resent one is in
+`resent`. Only the attack mask costs a draw per window, one raw byte for most;
+Eve's detections and phases cost O(resent windows).
 """
 
 from __future__ import annotations
@@ -22,12 +23,11 @@ from enum import Enum
 import numpy as np
 
 from .rates import ProtocolParams
-from .simulation import DECOY, SymbolStream, _bernoulli, _candidates
+from .simulation import SymbolStream, _bernoulli, _candidates
 
 __all__ = [
     "AttackKind",
     "AttackConfig",
-    "AttackLog",
     "apply_intercept_resend",
 ]
 
@@ -50,22 +50,11 @@ class AttackConfig:
         return self.kind is AttackKind.INTERCEPT_RESEND and self.p_ir > 0.0
 
 
-@dataclass
-class AttackLog:
-    n_attacked: int
-    eve_conclusive: int
-    eve_known_bits: int
-
-    def __post_init__(self):
-        if self.eve_conclusive > self.n_attacked:
-            raise ValueError("conclusive count cannot exceed attacked count")
-
-
 def apply_intercept_resend(stream: SymbolStream, config: AttackConfig,
                            params: ProtocolParams,
-                           rng: np.random.Generator):
-    """Attack a fraction p_ir of the symbol windows, returning the modified
-    stream and a log of what Eve learned.
+                           rng: np.random.Generator) -> SymbolStream:
+    """Attack a fraction p_ir of the symbol windows and return the attacked
+    stream.
 
     The stream must be clean, as generate_symbols returns it. Per attacked
     window: Eve detects each non-empty pulse with probability 1 - exp(-mu t).
@@ -76,7 +65,7 @@ def apply_intercept_resend(stream: SymbolStream, config: AttackConfig,
     """
     p_det = -math.expm1(-stream.mu * params.t)
     if not config.is_active() or p_det <= 0.0:
-        return stream, AttackLog(0, 0, 0)
+        return stream
     # restores Bob's expected intensity per window across Eve's outcome mix
     boost = 1.0 / (p_det * (2.0 - p_det))
     # Eve's resends index rows appended to Alice's table: vacuum, pair, and a
@@ -108,9 +97,6 @@ def apply_intercept_resend(stream: SymbolStream, config: AttackConfig,
         rows += [[a_single, 0.0], [0.0, a_single]]
     shapes[resent] = np.where(both | (not guess_bit), pair, single + pulse[first])
     phases = rng.random(len(resent)) * (2.0 * math.pi)
-
-    log = AttackLog(n_attacked=len(windows), eve_conclusive=len(resent),
-                    eve_known_bits=int(np.count_nonzero(stream.kinds[resent] != DECOY)))
     return SymbolStream(kinds=stream.kinds, mu=stream.mu, shapes=shapes,
                         table=np.vstack((stream.table, rows)), resent=resent,
-                        phases=phases), log
+                        phases=phases)

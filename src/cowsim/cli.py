@@ -116,7 +116,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         ev = _metadata(cfg, "simulate-events")
         ev.append("detector,sequence_index,slot_index")
         rec = sim.record
-        for name, g in (("D_B", rec.d_b), ("D_M1", rec.d_m1), ("D_M2", rec.d_m2)):
+        for name, g in zip(DETECTORS, (rec.d_b, rec.d_m1, rec.d_m2)):
             for s, sl in zip((g >> 1).tolist(), (g & 1).tolist()):
                 ev.append(f"{name},{s},{sl}")
         _emit(args.dump_events, ev)

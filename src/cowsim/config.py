@@ -29,13 +29,15 @@ def _member(what: str, names):
 
 
 def _items(parse):
-    """A parser checking each comma-separated item; it stores the one-line text."""
+    """A parser checking one or more comma-separated items; it stores the one-line text."""
     def parse_all(text: str) -> str:
         if "\n" in text or "\r" in text:
             raise ConfigError(f"a list may not hold a line break: {text!r}")
-        for item in text.split(","):
-            if item.strip():
-                parse(item.strip())
+        items = [item.strip() for item in text.split(",") if item.strip()]
+        if not items:
+            raise ValueError("a list needs at least one item")
+        for item in items:
+            parse(item)
         return text
     return parse_all
 
@@ -161,8 +163,7 @@ class RunConfig:
     def optics(self) -> OpticsConfig:
         return OpticsConfig(
             params=self.params(), insertion_loss=self["insertion_loss"],
-            gate_ns=self["gate_ns"], deadtime_ns=self["deadtime_ns"],
-            background=self["background"])
+            deadtime_ns=self["deadtime_ns"], background=self["background"])
 
     def protocol(self) -> Protocol:
         return Protocol(self["protocol"])

@@ -15,6 +15,7 @@ from .simulation import (
     BIT0,
     BIT1,
     DECOY,
+    DetectionRecord,
     MonitoringStats,
     OpticsConfig,
     QberEstimate,
@@ -31,9 +32,7 @@ FRAME_PATTERNS = {
     "D010": (DECOY, BIT0, BIT1, BIT0),
 }
 
-_STAGE_EXP_DATA = 10
-_STAGE_EXP_M1 = 11
-_STAGE_EXP_M2 = 12
+_STAGES = (10, 11, 12)  # the Philox stage ids of D_B, D_M1 and D_M2
 
 DETECTORS = ("D_B", "D_M1", "D_M2")
 
@@ -42,8 +41,9 @@ DETECTORS = ("D_B", "D_M1", "D_M2")
 class ExperimentConfig(OpticsConfig):
     """The optics of a framed run: n_frames repetitions of a pulse pattern,
     one every frame_period_ns, with the range checks of OpticsConfig. The
-    gate closes within its frame."""
+    detectors' gate of gate_ns closes within its frame."""
 
+    gate_ns: float = 25.0
     deadtime_ns: float = 10000.0
     frame_period_ns: float = 1e9 / 600e3
     n_frames: int = 600000
@@ -59,15 +59,15 @@ class ExperimentConfig(OpticsConfig):
         if not frame_ns <= self.frame_period_ns < math.inf:
             raise ValueError("frame_period_ns must be finite and no shorter "
                              "than the pulse train")
-        if not self.gate_ns < self.frame_period_ns:
-            raise ValueError("gate_ns must be shorter than frame_period_ns")
+        if not 0.0 < self.gate_ns < self.frame_period_ns:
+            raise ValueError("gate_ns must be > 0 and shorter than frame_period_ns")
 
 
 @dataclass
 class ExperimentResult:
     slot_times_ns: np.ndarray
+    record: DetectionRecord
     counts: dict
-    clicks: dict
     rate_hz: dict
     raw_rate_hz: float
     qber: QberEstimate | None
@@ -87,21 +87,21 @@ def run_experiment(config: ExperimentConfig, seed: int) -> ExperimentResult:
                          config.params.mu)
     n_pulses = 2 * frame.n_symbols
     n_slots = max(int(config.gate_ns // tau) + 1, n_pulses + 1)
-    chain = _run_chain(config, frame, seed, (_STAGE_EXP_DATA, _STAGE_EXP_M1, _STAGE_EXP_M2),
-                       config.n_frames, n_slots, config.frame_period_ns)
-    clicks = {name: np.divmod(g, n_slots) for name, g in zip(DETECTORS, chain)}
+    record = DetectionRecord(*_run_chain(config, frame, seed, _STAGES, config.n_frames,
+                                         n_slots, config.frame_period_ns))
+    slots = dict(zip(DETECTORS, (record.d_b, record.d_m1, record.d_m2)))
 
-    counts = {name: np.bincount(ss, minlength=n_slots) for name, (_, ss) in clicks.items()}
+    counts = {name: np.bincount(g % n_slots, minlength=n_slots) for name, g in slots.items()}
     duration_s = config.n_frames * config.frame_period_ns * 1e-9
-    rate_hz = {name: len(ss) / duration_s for name, (_, ss) in clicks.items()}
+    rate_hz = {name: len(g) / duration_s for name, g in slots.items()}
 
-    ff, ss = clicks["D_B"]
+    ff, ss = np.divmod(record.d_b, n_slots)
     in_train = ss < n_pulses  # later gated slots hold dark counts only
     # sifted like a stream: pulse s of frame f is pulse f * n_pulses + s
     key = sift(frame, (ff * n_pulses + ss)[in_train])
     qber = estimate_qber(key.alice_bits, key.bob_bits)
     return ExperimentResult(
-        slot_times_ns=np.arange(n_slots) * tau,
-        counts=counts, clicks=clicks, rate_hz=rate_hz,
+        slot_times_ns=np.arange(n_slots) * tau, record=record,
+        counts=counts, rate_hz=rate_hz,
         raw_rate_hz=sum(rate_hz.values()), qber=qber,
-        stats=_monitoring_tally(frame.kinds, clicks["D_M1"][1], clicks["D_M2"][1]))
+        stats=_monitoring_tally(frame.kinds, record.d_m1 % n_slots, record.d_m2 % n_slots))

@@ -10,8 +10,8 @@ one, so detection costs O(clicks), not O(slots). There is no intra-slot jitter.
 
 One optical chain serves both the i.i.d. stream and the framed mode of
 cowsim.experiment: a stream is a single frame, and a framed run repeats one
-short frame many times. The chain returns click positions, which feed the one
-monitoring tally here and the one sift and QBER estimator of cowsim.protocol.
+short frame many times. The chain's click slots feed the one monitoring tally
+and the one QBER estimator here, and the one sift of cowsim.protocol.
 """
 
 from __future__ import annotations
@@ -123,15 +123,14 @@ class OpticsConfig:
 
     params: ProtocolParams
     insertion_loss: float = 0.5
-    gate_ns: float = 25.0
     deadtime_ns: float = 0.0
     background: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.insertion_loss < 1.0:
             raise ValueError("insertion_loss must be in [0, 1)")
-        if not (0.0 < self.gate_ns < math.inf and 0.0 <= self.deadtime_ns < math.inf):
-            raise ValueError("gate_ns must be finite and > 0, deadtime_ns finite and >= 0")
+        if not 0.0 <= self.deadtime_ns < math.inf:
+            raise ValueError("deadtime_ns must be finite and >= 0")
         if not 0.0 <= self.background < 1.0:
             raise ValueError("background must be in [0, 1)")
 
@@ -142,7 +141,8 @@ class DetectionRecord:
 
     A d_b entry is a pulse index, 2k + bit for symbol k: the arrival slot is
     the bit. A monitor entry j is the interferometer output slot that pairs
-    pulses j - 1 and j; there is one more output slot than pulses.
+    pulses j - 1 and j; there is one more output slot than pulses. A framed
+    run's entry is frame * n_slots + slot, for n_slots slots per frame.
     """
 
     d_b: np.ndarray
@@ -187,7 +187,6 @@ class SimResult:
     n_bits: int
     empirical_r: float
     monitoring_rate_per_pulse: float
-    attack_log: object | None = None
 
 
 def generate_symbols(n: int, f: float, mu: float, seed: int) -> SymbolStream:
@@ -469,11 +468,8 @@ def run_simulation(config: OpticsConfig, n_symbols: int, seed: int,
                    attack=None) -> SimResult:
     """Generate a fresh symbol stream, optionally attack it, and simulate."""
     stream = generate_symbols(n_symbols, config.params.f, config.params.mu, seed)
-    attack_log = None
     if attack is not None and attack.is_active():
         from .attacks import apply_intercept_resend
-        stream, attack_log = apply_intercept_resend(
-            stream, attack, config.params, stage_rng(seed, _STAGE_ATTACK))
-    result = simulate_stream(config, stream, seed)
-    result.attack_log = attack_log
-    return result
+        stream = apply_intercept_resend(stream, attack, config.params,
+                                        stage_rng(seed, _STAGE_ATTACK))
+    return simulate_stream(config, stream, seed)

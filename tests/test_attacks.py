@@ -103,8 +103,8 @@ def dense_attacked_train(kinds, mu, config, params, rng):
 def dense_intercept_resend(stream, config, params, rng):
     """The attack with the earlier dense draw layout: for every window an
     attack uniform, a phase and two detection uniforms. Returns the attacked
-    stream in the sparse layout, Eve's conclusive count and her known bits:
-    the reference for the statistics of the sparse draw."""
+    stream in the sparse layout: the reference for the statistics of the
+    sparse draw."""
     n, mu, kinds = stream.n_symbols, stream.mu, stream.kinds
     p_det = -math.expm1(-mu * params.t)
     boost = 1.0 / (p_det * (2.0 - p_det))
@@ -127,7 +127,7 @@ def dense_intercept_resend(stream, config, params, rng):
     resent = np.flatnonzero(det_first | det_second)
     out = SymbolStream(kinds, mu, shapes=shapes, table=np.vstack((stream.table, rows)),
                        resent=resent, phases=theta[resent])
-    return out, len(resent), int(np.count_nonzero(kinds[resent] != DECOY))
+    return out
 
 
 class TestStreamTransform:
@@ -138,8 +138,8 @@ class TestStreamTransform:
     def test_lookup_equals_dense_train(self, kinds, mu, p_ir, f, loss_db, seed):
         kinds = np.array(kinds, dtype=np.int8)
         params = attack_params(mu=mu, f=f, loss_db=loss_db)
-        out, _ = apply_intercept_resend(SymbolStream(kinds, mu), ir(p_ir), params,
-                                        stage_rng(seed, 2))
+        out = apply_intercept_resend(SymbolStream(kinds, mu), ir(p_ir), params,
+                                     stage_rng(seed, 2))
         amplitudes, phases = dense_attacked_train(kinds, mu, ir(p_ir), params,
                                                   stage_rng(seed, 2))
         idx = np.arange(-1, 2 * len(kinds) + 1)  # one pulse past either end
@@ -151,27 +151,29 @@ class TestStreamTransform:
         stream = generate_symbols(20000, 0.3, 0.5, seed=1)
         # a set p_ir leaves the attack inactive while its kind is none
         for cfg in (AttackConfig(), ir(0.0), AttackConfig(p_ir=0.5)):
-            out, log = apply_intercept_resend(stream, cfg, attack_params(),
-                                              stage_rng(1, 2))
+            out = apply_intercept_resend(stream, cfg, attack_params(), stage_rng(1, 2))
             assert out is stream
-            assert log.n_attacked == 0
-            assert log.eve_conclusive == 0
+            assert np.count_nonzero(out.shapes >= 3) == 0  # no window has Eve's code
+            assert len(out.resent) == 0
 
     def test_full_attack_log(self):
         stream = generate_symbols(50000, 0.3, 0.5, seed=2)
         params = attack_params()
-        out, log = apply_intercept_resend(stream, ir(1.0), params, stage_rng(2, 2))
-        assert log.n_attacked == 50000
-        assert log.eve_conclusive <= log.n_attacked
+        # the attacked stream is Eve's record: her shape codes mark the
+        # attacked windows, and the resent ones are listed
+        out = apply_intercept_resend(stream, ir(1.0), params, stage_rng(2, 2))
+        n_attacked = np.count_nonzero(out.shapes >= 3)
+        assert n_attacked == 50000
+        assert len(out.resent) <= n_attacked
         p = -math.expm1(-params.mu * params.t)
         n_bits = np.count_nonzero(stream.kinds != DECOY)
         sigma = math.sqrt(n_bits * p * (1 - p))
-        assert abs(log.eve_known_bits - n_bits * p) < 3 * sigma
+        eve_known_bits = np.count_nonzero(out.kinds[out.resent] != DECOY)
+        assert abs(eve_known_bits - n_bits * p) < 3 * sigma
 
     def test_phases_randomized_per_window(self):
         stream = generate_symbols(50000, 0.3, 0.5, seed=3)
-        out, _ = apply_intercept_resend(stream, ir(1.0), attack_params(),
-                                        stage_rng(3, 2))
+        out = apply_intercept_resend(stream, ir(1.0), attack_params(), stage_rng(3, 2))
         amplitudes, phases = out.pulses(np.arange(2 * out.n_symbols))
         resent = amplitudes > 0
         # original stream is all phase 0; every resent pulse gets a fresh one
@@ -198,12 +200,10 @@ class TestSparseAgainstDenseDraw:
         # one seed's counts under a half intercept-resend attack
         attack, cfg = ir(0.5), OpticsConfig(params=params, insertion_loss=0.0)
         stream = generate_symbols(n, params.f, params.mu, seed)
-        if dense:
-            out, conclusive, known = dense_intercept_resend(stream, attack, params,
-                                                            stage_rng(seed, 2))
-        else:
-            out, log = apply_intercept_resend(stream, attack, params, stage_rng(seed, 2))
-            conclusive, known = log.eve_conclusive, log.eve_known_bits
+        draw = dense_intercept_resend if dense else apply_intercept_resend
+        out = draw(stream, attack, params, stage_rng(seed, 2))
+        conclusive = len(out.resent)
+        known = np.count_nonzero(out.kinds[out.resent] != DECOY)
         sim = simulate_stream(cfg, out, seed)
         st = sim.stats
         return [st.n_m1_10, st.n_m2_10, st.n_m1_d, st.n_m2_d, conclusive, known,
@@ -326,8 +326,7 @@ class TestDataLineSideEffects:
         # inside the 0.48 edge of the approx check below
         n = 10_000_000
         stream = generate_symbols(n, params.f, params.mu, seed=37)
-        out, log = apply_intercept_resend(stream, ir(p_ir), params,
-                                          stage_rng(37, 2))
+        out = apply_intercept_resend(stream, ir(p_ir), params, stage_rng(37, 2))
         cfg = OpticsConfig(params=params, insertion_loss=0.0)
         from cowsim.simulation import simulate_stream
         sim = simulate_stream(cfg, out, seed=37)

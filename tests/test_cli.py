@@ -5,6 +5,7 @@ import contextlib
 import io
 import os
 import re
+import shlex
 import subprocess
 import sys
 import types
@@ -138,9 +139,13 @@ class TestCurveCommand:
         for a, b in zip(cow, dec):
             assert abs(a - b) <= 1e-9 * max(a, b, 1e-30)
 
-    def test_empty_grid_exits_1(self):
-        code, _, err = run_cli("curve", "--set", "loss_grid=")
-        assert code == 1
+    @pytest.mark.parametrize("key", ["loss_grid", "protocols", "visibilities"])
+    def test_empty_grid_exits_1(self, key):
+        # a list key with no items is a bad value, not an empty curve
+        code, out, err = run_cli("curve", "--set", f"{key}=")
+        assert code == 1 and out == ""
+        assert err.startswith(f"cowsim: error: bad value for {key}: ")
+        assert err.count("\n") == 1
 
 
 class TestSimulateCommand:
@@ -174,6 +179,14 @@ class TestSimulateCommand:
         row = dict(zip(header, rows[0]))
         assert row["abort_reason"] == "no-decoy-statistics"
         assert row["v_10"] == "1" and row["v_d"] == "nan"
+
+    def test_gate_is_not_read(self):
+        # only the framed mode gates its detectors, so only experiment checks gate_ns
+        code, out, err = run_cli("simulate", "--set", "n_symbols=20000", "--seed", "3",
+                                 "--set", "gate_ns=-5")
+        assert code == 0 and err == ""
+        _, plain, _ = run_cli("simulate", "--set", "n_symbols=20000", "--seed", "3")
+        assert table(out) == table(plain)
 
     def test_unknown_attack_is_one_error_line(self):
         # intercept-resend is the only attack that acts on the stream
@@ -386,7 +399,7 @@ class TestPackage:
         names = {n for n, v in vars(cowsim).items()
                  if not n.startswith("_") and not isinstance(v, types.ModuleType)}
         assert names == set().union(*(m.__all__ for m in modules))
-        assert len(names) == 53
+        assert len(names) == 52
 
     def test_readme_python_blocks_run(self):
         # a name the package no longer exports cannot linger in the docs
@@ -398,6 +411,24 @@ class TestPackage:
             proc = subprocess.run([sys.executable, "-c", code], env=env,
                                   capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
+
+    def test_readme_commands_run(self, tmp_path, monkeypatch):
+        # every cowsim line of README's sh blocks, \ continuations joined
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```sh\n(.*?)^```", text, re.S | re.M)
+        lines = "".join(blocks).replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line, comments=True) for line in lines
+                    if line.startswith("cowsim ")]
+        assert commands
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv[1:])
+            assert code in (0, 2) and err.getvalue() == "", (argv, err.getvalue())
+            for flag in ("--out", "--dump-events"):
+                if flag in argv:
+                    assert (tmp_path / argv[argv.index(flag) + 1]).is_file(), argv
 
 
 class TestDeterminism:

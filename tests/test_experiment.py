@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from cowsim import ExperimentConfig, ProtocolParams, run_experiment
+from cowsim import DetectionRecord, ExperimentConfig, ProtocolParams, run_experiment
+from cowsim.experiment import DETECTORS
 
 TAU = 1e9 / 434e6
 
@@ -21,6 +22,14 @@ def preset_config(**over):
 
 def peak_slots(counts, threshold=0.05):
     return [i for i, c in enumerate(counts) if c >= threshold * counts.max()]
+
+
+def frames_and_slots(result):
+    """Each detector's clicks as (frame, slot) arrays, read from the record."""
+    n_slots = len(result.slot_times_ns)
+    rec = result.record
+    return {name: np.divmod(g, n_slots)
+            for name, g in zip(DETECTORS, (rec.d_b, rec.d_m1, rec.d_m2))}
 
 
 class TestHistogram:
@@ -42,22 +51,32 @@ class TestHistogram:
         # 25 ns gate covers the 8-pulse train plus trailing dark-only slots
         assert len(result.slot_times_ns) == 11
 
+    def test_counts_are_the_records_slots(self):
+        # one click format in both modes: ascending absolute slots
+        # frame * n_slots + slot, of which the histogram counts the slot
+        result = run_experiment(preset_config(n_frames=20000), seed=3)
+        assert isinstance(result.record, DetectionRecord)
+        n_slots = len(result.slot_times_ns)
+        rec = result.record
+        for name, g in zip(DETECTORS, (rec.d_b, rec.d_m1, rec.d_m2)):
+            assert np.all(np.diff(g) > 0)
+            assert np.array_equal(result.counts[name],
+                                  np.bincount(g % n_slots, minlength=n_slots))
+
 
 class TestDeadtime:
     def test_one_click_per_detector_per_frame(self):
         cfg = preset_config()
         assert cfg.deadtime_ns >= 8 * cfg.params.pulse_period_ns
         result = run_experiment(cfg, seed=5)
-        for name in ("D_B", "D_M1", "D_M2"):
-            ff, _ = result.clicks[name]
+        for ff, _ in frames_and_slots(result).values():
             if len(ff):
                 assert np.bincount(ff).max() <= 1
 
     def test_click_spacing_respects_deadtime(self):
         cfg = preset_config(n_frames=50000)
         result = run_experiment(cfg, seed=9)
-        for name in ("D_B", "D_M1", "D_M2"):
-            ff, ss = result.clicks[name]
+        for ff, ss in frames_and_slots(result).values():
             times = ff * cfg.frame_period_ns + ss * cfg.params.pulse_period_ns
             if len(times) > 1:
                 assert np.diff(times).min() >= cfg.deadtime_ns
