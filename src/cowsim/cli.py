@@ -9,14 +9,17 @@ identical configuration and seed are byte identical. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import __version__
+from .attacks import AttackConfig, AttackKind
 from .config import ConfigError, RunConfig
-from .experiment import DETECTORS, run_experiment
-from .optimize import optimize_mu, sweep_loss
+from .experiment import DETECTORS, ExperimentConfig, run_experiment
+from .optimize import OptimizationSpec, optimize_mu, sweep_loss
 from .protocol import run_protocol
-from .rates import predicted_signature, secret_key_rate
+from .rates import ProtocolParams, predicted_signature, secret_key_rate
+from .simulation import OpticsConfig
 
 __all__ = ["main"]
 
@@ -42,76 +45,74 @@ def _metadata(cfg: RunConfig, command: str) -> list[str]:
     return [f"# cowsim {__version__}", f"# command = {command}"] + cfg.metadata_lines()
 
 
+def _write(out_path, cfg: RunConfig, command: str, header: str, rows, notes=()):
+    """The metadata block, a '# key = value' line per note, the header, and
+    one CSV line per row, every value through _fmt."""
+    _emit(out_path, _metadata(cfg, command)
+          + [f"# {key} = {_fmt(value)}" for key, value in notes]
+          + [header] + [",".join(_fmt(x) for x in row) for row in rows])
+
+
 def cmd_keyrate(cfg: RunConfig, args) -> int:
-    params = cfg.params()
+    params = cfg.build(ProtocolParams)
     res = secret_key_rate(params, cfg.protocol(), cfg.pns_model(), cfg.rate_mode())
-    row = (cfg["protocol"], params.v, params.loss_db, res.mu, res.r_s,
-           res.qber.q_opt, res.qber.q_det, res.qber.q_total,
-           res.eve.r, res.eve.p_ir, res.eve.i_ir, res.eve.i_eve,
-           res.eve.feasible, res.r_sk_raw, res.r_sk)
-    lines = _metadata(cfg, args.command)
-    lines.append("protocol,v,loss_db,mu,r_s,q_opt,q_det,q_total,"
-                 "r,p_ir,i_ir,i_eve,feasible,r_sk_raw,r_sk")
-    lines.append(",".join(_fmt(x) for x in row))
-    _emit(args.out, lines)
+    _write(args.out, cfg, args.command,
+           "protocol,v,loss_db,mu,r_s,q_opt,q_det,q_total,"
+           "r,p_ir,i_ir,i_eve,feasible,r_sk_raw,r_sk",
+           [(cfg["protocol"], params.v, params.loss_db, res.mu, res.r_s,
+             res.qber.q_opt, res.qber.q_det, res.qber.q_total,
+             res.eve.r, res.eve.p_ir, res.eve.i_ir, res.eve.i_eve,
+             res.eve.feasible, res.r_sk_raw, res.r_sk)])
     return 0
 
 
 def cmd_curve(cfg: RunConfig, args) -> int:
-    points = sweep_loss(cfg.params(), cfg.protocol_list(), cfg.float_list("loss_grid"),
-                        cfg.pns_model(), cfg.optimization_spec(),
+    points = sweep_loss(cfg.build(ProtocolParams), cfg.protocol_list(),
+                        cfg.float_list("loss_grid"), cfg.pns_model(),
+                        cfg.build(OptimizationSpec),
                         visibilities=cfg.float_list("visibilities"),
                         mode=cfg.rate_mode())
-    lines = _metadata(cfg, args.command)
-    lines.append("protocol,V,loss_db,mu_star,r_sk")
-    for p in points:
-        lines.append(",".join(_fmt(x) for x in (
-            p.protocol.value, p.v, p.loss_db, p.mu_star, p.r_sk_star)))
-    _emit(args.out, lines)
+    _write(args.out, cfg, args.command, "protocol,V,loss_db,mu_star,r_sk",
+           [(p.protocol.value, p.v, p.loss_db, p.mu_star, p.r_sk_star) for p in points])
     return 0
 
 
 def cmd_optimize(cfg: RunConfig, args) -> int:
-    opt = optimize_mu(cfg.params(), cfg.protocol(), cfg.pns_model(),
-                      cfg.optimization_spec(), cfg.rate_mode())
-    lines = _metadata(cfg, args.command)
-    lines.append("protocol,v,loss_db,mu_star,r_s,q_total,i_eve,r_sk_raw,r_sk,all_zero")
+    opt = optimize_mu(cfg.build(ProtocolParams), cfg.protocol(), cfg.pns_model(),
+                      cfg.build(OptimizationSpec), cfg.rate_mode())
     k = opt.keyrate
-    lines.append(",".join(_fmt(x) for x in (
-        cfg["protocol"], cfg["v"], cfg["loss_db"], opt.mu_star, k.r_s,
-        k.qber.q_total, k.eve.i_eve, k.r_sk_raw, k.r_sk, opt.all_zero)))
-    _emit(args.out, lines)
+    _write(args.out, cfg, args.command,
+           "protocol,v,loss_db,mu_star,r_s,q_total,i_eve,r_sk_raw,r_sk,all_zero",
+           [(cfg["protocol"], cfg["v"], cfg["loss_db"], opt.mu_star, k.r_s,
+             k.qber.q_total, k.eve.i_eve, k.r_sk_raw, k.r_sk, opt.all_zero)])
     return 0
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
-    attack = cfg.attack_config()
-    report = run_protocol(cfg.optics(), cfg["n_symbols"], cfg["seed"],
-                          attack=attack,
+    if args.dump_events and args.out and (
+            os.path.realpath(args.out) == os.path.realpath(args.dump_events)):
+        raise ConfigError("--out and --dump-events name the same file")
+    params = cfg.build(ProtocolParams)
+    attack = cfg.build(AttackConfig, kind=AttackKind(cfg["attack"]))
+    report = run_protocol(cfg.build(OpticsConfig, params=params), cfg["n_symbols"],
+                          cfg["seed"], attack=attack,
                           tolerance_sigmas=cfg["tolerance_sigmas"],
                           protocol=cfg.protocol(), model=cfg.pns_model())
-    lines = _metadata(cfg, args.command)
     p_ir = attack.p_ir if attack.is_active() else 0.0
-    pred_v, pred_i = predicted_signature(cfg.params(), p_ir, cfg.protocol(),
-                                         cfg.pns_model())
+    pred_v, pred_i = predicted_signature(params, p_ir, cfg.protocol(), cfg.pns_model())
     sim, ann, q, est, dist = (report.sim, report.announcement, report.qber,
                               report.estimation, report.distill)
     n = sim.stream.n_symbols
-    lines.append("n_symbols,n_detected,n_ambiguous,n_sifted,sifted_rate,"
-                 "qber,qber_lo,qber_hi,v_10,v_d,abort,abort_reason,i_eve,"
-                 "shrink_fraction,n_secret,secret_fraction,empirical_r,"
-                 "monitoring_rate,predicted_v,predicted_i_eve")
-    lines.append(",".join(_fmt(x) for x in (
-        n, len(ann.detected_indices), len(ann.ambiguous_indices),
-        dist.n_sifted, dist.n_sifted / n,
-        q.value if q else float("nan"),
-        q.lo if q else float("nan"),
-        q.hi if q else float("nan"),
-        sim.stats.v_10, sim.stats.v_d, est.abort, est.reason.value,
-        est.i_eve, dist.shrink_fraction, dist.n_secret,
-        dist.n_secret / n, sim.empirical_r,
-        sim.monitoring_rate_per_pulse, pred_v, pred_i)))
-    _emit(args.out, lines)
+    _write(args.out, cfg, args.command,
+           "n_symbols,n_detected,n_ambiguous,n_sifted,sifted_rate,"
+           "qber,qber_lo,qber_hi,v_10,v_d,abort,abort_reason,i_eve,"
+           "shrink_fraction,n_secret,secret_fraction,empirical_r,"
+           "monitoring_rate,predicted_v,predicted_i_eve",
+           [(n, len(ann.detected_indices), len(ann.ambiguous_indices), dist.n_sifted,
+             dist.n_sifted / n, *((q.value, q.lo, q.hi) if q else [float("nan")] * 3),
+             sim.stats.v_10, sim.stats.v_d, est.abort, est.reason.value, est.i_eve,
+             dist.shrink_fraction, dist.n_secret, dist.n_secret / n, sim.empirical_r,
+             sim.monitoring_rate_per_pulse, pred_v, pred_i)])
     if args.dump_events:
         ev = _metadata(cfg, "simulate-events")
         ev.append("detector,sequence_index,slot_index")
@@ -124,20 +125,17 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 
 
 def cmd_experiment(cfg: RunConfig, args) -> int:
-    result = run_experiment(cfg.experiment(), cfg["seed"])
-    lines = _metadata(cfg, args.command)
-    lines.append(f"# raw_rate_hz = {_fmt(result.raw_rate_hz)}")
-    for name in DETECTORS:
-        lines.append(f"# rate_hz_{name} = {_fmt(result.rate_hz[name])}")
+    config = cfg.build(ExperimentConfig, params=cfg.build(ProtocolParams),
+                       pattern=cfg["frame_pattern"])
+    result = run_experiment(config, cfg["seed"])
     q = result.qber
-    lines.append(f"# data_qber = {_fmt(q.value if q else float('nan'))}")
-    lines.append(f"# v_10 = {_fmt(result.stats.v_10)}")
-    lines.append(f"# v_d = {_fmt(result.stats.v_d)}")
-    lines.append("slot_time_ns,detector,count")
-    for name in DETECTORS:
-        for slot_time, count in zip(result.slot_times_ns, result.counts[name]):
-            lines.append(f"{_fmt(float(slot_time))},{name},{int(count)}")
-    _emit(args.out, lines)
+    _write(args.out, cfg, args.command, "slot_time_ns,detector,count",
+           [(t, name, c) for name in DETECTORS
+            for t, c in zip(result.slot_times_ns.tolist(), result.counts[name].tolist())],
+           notes=[("raw_rate_hz", result.raw_rate_hz)]
+           + [(f"rate_hz_{name}", result.rate_hz[name]) for name in DETECTORS]
+           + [("data_qber", q.value if q else float("nan")),
+              ("v_10", result.stats.v_10), ("v_d", result.stats.v_d)])
     return 0
 
 

@@ -6,11 +6,11 @@ every output's metadata block so reruns are reproducible byte for byte.
 
 from __future__ import annotations
 
-from .rates import PnsModel, Protocol, ProtocolParams, RateMode
-from .simulation import OpticsConfig
-from .optimize import OptimizationSpec
-from .attacks import AttackConfig, AttackKind
-from .experiment import FRAME_PATTERNS, ExperimentConfig
+from dataclasses import fields
+
+from .rates import PnsModel, Protocol, RateMode
+from .attacks import AttackKind
+from .experiment import FRAME_PATTERNS
 
 __all__ = ["ConfigError", "RunConfig", "EXPERIMENT_PRESET"]
 
@@ -28,12 +28,17 @@ def _member(what: str, names):
     return parse
 
 
+def _split(text: str) -> list[str]:
+    """The non-blank comma-separated items of a list key's text."""
+    return [item.strip() for item in text.split(",") if item.strip()]
+
+
 def _items(parse):
     """A parser checking one or more comma-separated items; it stores the one-line text."""
     def parse_all(text: str) -> str:
         if "\n" in text or "\r" in text:
             raise ConfigError(f"a list may not hold a line break: {text!r}")
-        items = [item.strip() for item in text.split(",") if item.strip()]
+        items = _split(text)
         if not items:
             raise ValueError("a list needs at least one item")
         for item in items:
@@ -152,24 +157,18 @@ class RunConfig:
     def __getitem__(self, key: str):
         return self.values[key]
 
-    # ---- typed accessors -------------------------------------------------
-
-    def params(self) -> ProtocolParams:
-        return ProtocolParams(
-            mu=self["mu"], loss_db=self["loss_db"], f=self["f"],
-            t_b=self["t_b"], eta=self["eta"], p_d=self["p_d"], v=self["v"],
-            pulse_period_ns=self["pulse_period_ns"])
-
-    def optics(self) -> OpticsConfig:
-        return OpticsConfig(
-            params=self.params(), insertion_loss=self["insertion_loss"],
-            deadtime_ns=self["deadtime_ns"], background=self["background"])
+    def build(self, cls, **given):
+        """A cls whose every field is the key of the same name, unless given
+        supplies it. A field with no key (KeyError) or a given name that is not
+        a field (TypeError) is an error, so no field falls back to its default."""
+        return cls(**{f.name: self[f.name] for f in fields(cls) if f.name not in given},
+                   **given)
 
     def protocol(self) -> Protocol:
         return Protocol(self["protocol"])
 
     def protocol_list(self) -> list[Protocol]:
-        return [Protocol(p.strip()) for p in self["protocols"].split(",") if p.strip()]
+        return [Protocol(p) for p in _split(self["protocols"])]
 
     def pns_model(self) -> PnsModel:
         return PnsModel(self["pns_model"])
@@ -177,25 +176,8 @@ class RunConfig:
     def rate_mode(self) -> RateMode:
         return RateMode(self["rate_mode"])
 
-    def attack_config(self) -> AttackConfig:
-        return AttackConfig(kind=AttackKind(self["attack"]), p_ir=self["p_ir"])
-
-    def optimization_spec(self) -> OptimizationSpec:
-        return OptimizationSpec(
-            mu_min=self["mu_min"], mu_max=self["mu_max"],
-            grid_points=self["grid_points"],
-            refine_tolerance=self["refine_tolerance"])
-
     def float_list(self, key: str) -> list[float]:
-        return [float(x) for x in self[key].split(",") if x.strip()]
-
-    def experiment(self) -> ExperimentConfig:
-        return ExperimentConfig(
-            params=self.params(), insertion_loss=self["insertion_loss"],
-            gate_ns=self["gate_ns"], deadtime_ns=self["deadtime_ns"],
-            frame_period_ns=self["frame_period_ns"],
-            n_frames=self["n_frames"], pattern=self["frame_pattern"],
-            background=self["background"])
+        return [float(x) for x in _split(self[key])]
 
     def metadata_lines(self) -> list[str]:
         return [f"# {key} = {repr(val) if isinstance(val, float) else val}"

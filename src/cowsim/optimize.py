@@ -53,8 +53,9 @@ class OptimizationSpec:
     def __post_init__(self):
         if not 0.0 < self.mu_min < self.mu_max < math.inf:
             raise ValueError("require 0 < mu_min < mu_max < inf")
-        if self.grid_points < 100:
-            raise ValueError("grid_points must be >= 100")
+        # the mu scan holds about 140 B per grid point, so 10**6 is about 140 MB
+        if not 100 <= self.grid_points <= 10**6:
+            raise ValueError(f"grid_points must be in [100, 10**6], got {self.grid_points}")
         if not 0.0 < self.refine_tolerance < 1.0:
             raise ValueError("refine_tolerance must be in (0, 1)")
 

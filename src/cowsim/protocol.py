@@ -202,10 +202,8 @@ def run_protocol(config: OpticsConfig, n_symbols: int, seed: int,
     estimation = estimate_parameters(sim.stats, config.params,
                                      tolerance_sigmas, protocol, model)
     n_sifted = len(sifted.kept_indices)
-    if estimation.abort or qber is None:
-        distill = DistillationSummary(n_sifted=n_sifted, shrink_fraction=1.0,
-                                      n_secret=0)
-    else:
-        distill = distill_accounting(n_sifted, qber.value, estimation.i_eve)
+    # an abort or an empty key shrinks by h(0) + 1 = 1
+    distill = (distill_accounting(n_sifted, 0.0, 1.0) if estimation.abort or qber is None
+               else distill_accounting(n_sifted, qber.value, estimation.i_eve))
     return ProtocolReport(sim=sim, announcement=ann, sifted=sifted, qber=qber,
                           estimation=estimation, distill=distill)

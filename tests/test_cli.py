@@ -10,6 +10,7 @@ import subprocess
 import sys
 import types
 from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cowsim
+import cowsim.cli
 import cowsim.simulation
+from cowsim import (AttackConfig, AttackKind, ExperimentConfig, OpticsConfig,
+                    OptimizationSpec, PnsModel, Protocol, ProtocolParams, RateMode)
 from cowsim.cli import main
 from cowsim.config import DEFAULTS, ConfigError, RunConfig
 
@@ -68,6 +72,111 @@ class TestRunConfig:
         path.write_text("just words\n")
         with pytest.raises(ConfigError):
             RunConfig.from_sources(str(path), [])
+
+
+# every key away from its default, except frame_pattern: D010 is the only pattern
+EVERY_KEY = """
+mu = 0.3
+loss_db = 7.0
+f = 0.2
+t_b = 0.8
+eta = 0.3
+p_d = 2e-5
+v = 0.95
+pulse_period_ns = 2.0
+insertion_loss = 0.25
+gate_ns = 30.0
+deadtime_ns = 5.0
+background = 1e-6
+protocol = bb84
+protocols = cow, bb84
+pns_model = alt
+rate_mode = exact
+n_symbols = 5000
+seed = 7
+attack = intercept-resend
+p_ir = 0.4
+tolerance_sigmas = 4.0
+mu_min = 1e-3
+mu_max = 0.9
+grid_points = 500
+refine_tolerance = 1e-5
+loss_grid = 0, 10
+visibilities = 0.9
+n_frames = 1000
+frame_period_ns = 2000.0
+frame_pattern = D010
+"""
+
+
+class _Called(Exception):
+    """Stops a command at the call it makes, carrying that call's arguments."""
+
+
+class TestBuild:
+    PARAMS = ProtocolParams(mu=0.3, loss_db=7.0, f=0.2, t_b=0.8, eta=0.3, p_d=2e-5,
+                            v=0.95, pulse_period_ns=2.0)
+    SPEC = OptimizationSpec(mu_min=1e-3, mu_max=0.9, grid_points=500,
+                            refine_tolerance=1e-5)
+
+    def called(self, monkeypatch, tmp_path, command, target):
+        """The (args, kwargs) with which the command calls cli.<target>,
+        configured from EVERY_KEY alone."""
+        def stop(*args, **kwargs):
+            raise _Called(args, kwargs)
+        monkeypatch.setattr(cowsim.cli, target, stop)
+        path = tmp_path / "every.cfg"
+        path.write_text(EVERY_KEY)
+        with pytest.raises(_Called) as caught:
+            main([command, "--config", str(path)])
+        return caught.value.args
+
+    def test_every_key_differs_from_its_default(self, tmp_path):
+        path = tmp_path / "every.cfg"
+        path.write_text(EVERY_KEY)
+        cfg = RunConfig.from_sources(str(path))
+        assert [k for k in DEFAULTS if cfg[k] == DEFAULTS[k][0]] == ["frame_pattern"]
+
+    def test_analysis_commands_build_every_key(self, monkeypatch, tmp_path):
+        args, kwargs = self.called(monkeypatch, tmp_path, "keyrate", "secret_key_rate")
+        assert args == (self.PARAMS, Protocol.BB84_PLAIN, PnsModel.DETECTABLE_ALT, RateMode.EXACT)
+        args, kwargs = self.called(monkeypatch, tmp_path, "optimize", "optimize_mu")
+        assert args == (self.PARAMS, Protocol.BB84_PLAIN, PnsModel.DETECTABLE_ALT, self.SPEC,
+                        RateMode.EXACT)
+        args, kwargs = self.called(monkeypatch, tmp_path, "curve", "sweep_loss")
+        assert args == (self.PARAMS, [Protocol.COW, Protocol.BB84_PLAIN], [0.0, 10.0],
+                        PnsModel.DETECTABLE_ALT, self.SPEC)
+        assert kwargs == {"visibilities": [0.9], "mode": RateMode.EXACT}
+
+    def test_simulate_builds_every_key(self, monkeypatch, tmp_path):
+        args, kwargs = self.called(monkeypatch, tmp_path, "simulate", "run_protocol")
+        optics = OpticsConfig(params=self.PARAMS, insertion_loss=0.25, deadtime_ns=5.0,
+                              background=1e-6)
+        assert args == (optics, 5000, 7)
+        assert kwargs == {"attack": AttackConfig(kind=AttackKind.INTERCEPT_RESEND, p_ir=0.4),
+                          "tolerance_sigmas": 4.0, "protocol": Protocol.BB84_PLAIN,
+                          "model": PnsModel.DETECTABLE_ALT}
+
+    def test_experiment_builds_every_key(self, monkeypatch, tmp_path):
+        # the file overrides every key of the experiment preset
+        args, kwargs = self.called(monkeypatch, tmp_path, "experiment", "run_experiment")
+        config = ExperimentConfig(params=self.PARAMS, insertion_loss=0.25, deadtime_ns=5.0,
+                                  background=1e-6, gate_ns=30.0, frame_period_ns=2000.0,
+                                  n_frames=1000, pattern="D010")
+        assert (args, kwargs) == ((config, 7), {})
+
+    def test_build_is_strict(self):
+        @dataclass
+        class Unkeyed:
+            mu: float
+            no_such_key: float = 0.0
+
+        cfg = RunConfig()
+        assert cfg.build(AttackConfig, kind=AttackKind.NONE) == AttackConfig()
+        with pytest.raises(TypeError):
+            cfg.build(AttackConfig, kind=AttackKind.NONE, stray=1)
+        with pytest.raises(KeyError):
+            cfg.build(Unkeyed)
 
 
 class TestKeyrateCommand:
@@ -195,6 +304,18 @@ class TestSimulateCommand:
         assert err.startswith("cowsim: error: ") and err.count("\n") == 1
         assert "none|intercept-resend" in err
 
+    @pytest.mark.parametrize("link", [False, True], ids=["same-path", "symlink"])
+    def test_out_and_dump_on_one_file_is_one_error_line(self, tmp_path, link):
+        # the event dump would overwrite the summary
+        out = tmp_path / "same.csv"
+        dump = tmp_path / "link.csv" if link else out
+        if link:
+            dump.symlink_to(out)
+        code, stdout, err = run_cli("simulate", "--set", "n_symbols=20000",
+                                    "--out", str(out), "--dump-events", str(dump))
+        assert code == 1 and stdout == "" and not out.exists()
+        assert err == "cowsim: error: --out and --dump-events name the same file\n"
+
     def test_event_dump(self, tmp_path):
         dump = tmp_path / "events.csv"
         code, _, _ = run_cli("simulate", "--set", "n_symbols=100000",
@@ -282,6 +403,9 @@ class TestInputValidation:
         ("experiment", "seed=-1"),
         ("optimize", "mu_max=inf"),
         ("curve", "mu_max=inf"),
+        # 10**8 grid points would take about 14 GB for the mu scan
+        ("optimize", "grid_points=100000000"),
+        ("curve", "grid_points=100000000"),
         # each key is checked when it is set, whether or not the command reads it
         ("keyrate", "attack=nope"),
         ("simulate", "rate_mode=bogus"),

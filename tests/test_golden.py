@@ -1,64 +1,24 @@
 """Golden outputs: SHA-256 of CLI output files for fixed configurations and
-seeds. A change to any hash means the RNG draw layout or the arithmetic
-changed; such a change must say so and show the statistical acceptance
-criteria still pass.
+seeds. A moved hash means the RNG draw layout, the arithmetic or the output
+bytes changed. The change that moves one must say which hashes moved and why,
+and show that the statistical acceptance criteria still pass; CHANGES.md keeps
+the history of each regeneration.
 
-The six Monte Carlo cases were regenerated when detection changed from one
-uniform per slot to the sparse draw (geometric gaps to candidate slots, one
-uniform per candidate); keyrate and curve draw nothing and kept their hashes.
-The exit code of simulate_dump_events depends on the seed: its full
-intercept-resend attack aborts on about 4 seeds in 10 (22 of 60 with the
-per-slot draw, 24 of 60 with the sparse one), and seed 3 now runs through.
+The cases whose purpose is not in their name:
 
-simulate_dump_events was regenerated once more when attacked streams began
-drawing candidates per window class: slots touching a window Eve resent
-brighter than Alice's pulses at the bound of that brightness, all others at
-the bound of Alice's pulses. Clean streams draw as before, so every other case
-kept its hash. simulate_no_decoy_abort pins the bytes of an aborted run.
-
-simulate_bb84_intercept_resend pins the predicted signature of an attacked
-BB84 run (predicted_v = 0.8625): there the intercept-resend relation is the
-interferometric one, I = (1 - r) p_ir / 2 and 1 - V = I, where every other
-attacked case is time-basis COW with 1 - V = I xi.
-
-Both attacked cases, simulate_dump_events and simulate_bb84_intercept_resend,
-were regenerated when the attack stopped drawing a phase and two detection
-uniforms for every window: after the dense attack mask it now draws Eve's
-detections as one Bernoulli(1 - exp(-mu t)) process over the pulses of the
-attacked windows, and one phase per resent window. The distribution of the
-attacked stream is unchanged (a two-sample test in test_attacks.py compares
-it with the dense draw); the exit codes stay 0 and 2. Clean streams draw
-nothing from the attack stage, so every other case kept its hash.
-
-Every hash was regenerated when the pns_clamp and experiment_visibility keys
-were deleted: each output lost the two metadata lines that echoed them, and
-only that metadata block moved, with every exit code kept. The one exception
-is the curve body: the golden-section stop became relative to mu (bracket
-no wider than refine_tolerance * b), so 9 of its 18 rows moved mu* in the
-7th to 9th significant digit while r_sk kept all 9 printed digits. The
-abort rule's switch from Wald errors to a score interval flipped no case.
-
-The six simulate cases (simulate, simulate_dump_events, simulate_deadtime,
-config_file_flags, simulate_no_decoy_abort and simulate_bb84_intercept_resend)
-were regenerated when the symbols and the attack mask stopped spending a
-64-bit uniform per decision: a symbol is now a fair bit from raw bytes plus an
-exact Bernoulli(f) decoy flag, and the attack mask an exact Bernoulli(p_ir)
-per window, each decided byte by byte against the bytes of p's binary
-expansion. The distribution is unchanged (a two-sample test in
-test_simulation.py compares the symbols with the float draw); keyrate, curve
-and the two experiment cases draw no symbols and kept their hashes.
-simulate_bb84_intercept_resend now exits 0 where it exited 2: that argv
-aborts on 41 of seeds 0-59 with the byte-wise draw and on 45 with the float
-one, and seed 5 is one that runs through. It was not re-seeded, so it still
-pins the predicted signature, and simulate_no_decoy_abort still pins the
-bytes of an aborted run.
-
-simulate_no_decoy_abort was regenerated when the v_10 and v_d columns began
-to read the monitoring tallies instead of copies kept in the estimation
-report. Without decoys the run aborts for want of decoy statistics, and the
-copy wrote v_10 = nan although the 1-0 class had 16 D_M1 clicks and no D_M2
-click; the column now reads 1. Only that field moved, and the exit code
-stays 2. Every other case kept its hash."""
+- simulate_dump_events pins the event dump of a full intercept-resend attack.
+  Its exit code depends on the seed, since that attack aborts on some seeds
+  and not on others; seed 3 runs through.
+- simulate_no_decoy_abort pins the bytes of an aborted run. Without decoys it
+  aborts for want of decoy statistics, while its v_10 column reads the 1-0
+  class that was measured: 16 D_M1 clicks and no D_M2 click, so v_10 = 1.
+- simulate_bb84_intercept_resend pins the predicted signature of an attacked
+  BB84 run (predicted_v = 0.8625). There the intercept-resend relation is the
+  interferometric one, I = (1 - r) p_ir / 2 and 1 - V = I, where every other
+  attacked case is time-basis COW with 1 - V = I xi. Seed 5 exits 0, although
+  that argv aborts on most seeds.
+- config_file_flags reads a configuration file together with the dedicated
+  flags, which come after it in precedence."""
 
 import hashlib
 

@@ -130,6 +130,13 @@ class TestOptimizeMu:
         with pytest.raises(ValueError):
             OptimizationSpec(refine_tolerance=2.0)
 
+    def test_grid_points_bounded(self):
+        # the mu scan holds about 140 B per grid point: 10**6 points take
+        # about 140 MB, and 10**8 would take about 14 GB. A spec allocates nothing
+        assert OptimizationSpec(grid_points=10**6).grid_points == 10**6
+        with pytest.raises(ValueError, match=r"grid_points must be in \[100, 10\*\*6\]"):
+            OptimizationSpec(grid_points=10**6 + 1)
+
     @pytest.mark.parametrize("loss_db", [0.0, 20.0])
     def test_tolerance_below_float_spacing(self, loss_db):
         # the bracket stops shrinking about one ulp from mu*: a finer
