@@ -12,6 +12,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .attacks import AttackConfig, AttackKind
 from .config import ConfigError, RunConfig
@@ -19,7 +21,7 @@ from .experiment import DETECTORS, ExperimentConfig, run_experiment
 from .optimize import OptimizationSpec, optimize_mu, sweep_loss
 from .protocol import run_protocol
 from .rates import ProtocolParams, predicted_signature, secret_key_rate
-from .simulation import OpticsConfig
+from .simulation import DetectionRecord, OpticsConfig
 
 __all__ = ["main"]
 
@@ -32,25 +34,34 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _emit(out_path, lines):
-    text = "\n".join(lines) + "\n"
+def _write(out_path, cfg: RunConfig, command: str, header: str, rows, notes=(), blocks=()):
+    """The metadata block, a '# key = value' line per note, the header, one
+    CSV line per row, every value through _fmt; a file then gets the byte blocks."""
+    lines = [f"# cowsim {__version__}", f"# command = {command}", *cfg.metadata_lines()]
+    lines += [f"# {key} = {_fmt(value)}" for key, value in notes] + [header]
+    text = "\n".join(lines + [",".join(_fmt(x) for x in row) for row in rows]) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(out_path, "wb") as fh:
+            fh.write(text.encode())
+            fh.writelines(blocks)
     else:
         sys.stdout.write(text)
 
 
-def _metadata(cfg: RunConfig, command: str) -> list[str]:
-    return [f"# cowsim {__version__}", f"# command = {command}"] + cfg.metadata_lines()
-
-
-def _write(out_path, cfg: RunConfig, command: str, header: str, rows, notes=()):
-    """The metadata block, a '# key = value' line per note, the header, and
-    one CSV line per row, every value through _fmt."""
-    _emit(out_path, _metadata(cfg, command)
-          + [f"# {key} = {_fmt(value)}" for key, value in notes]
-          + [header] + [",".join(_fmt(x) for x in row) for row in rows])
+def _event_lines(record: DetectionRecord):
+    """Yield f"{name},{slot >> 1},{slot & 1}\\n" for each detector's ascending
+    slots, as one uint8 matrix of equal-length lines per digit count of slot >> 1."""
+    for name, slots in zip(DETECTORS, (record.d_b, record.d_m1, record.d_m2)):
+        cuts = [0, *np.searchsorted(slots >> 1, 10 ** np.arange(1, 19)).tolist(), len(slots)]
+        for width, lo, hi in zip(range(1, 20), cuts, cuts[1:]):
+            if lo < hi:
+                line = np.frombuffer(f"{name},{'0' * width},0\n".encode(), dtype=np.uint8)
+                lines, seq = np.tile(line, (hi - lo, 1)), slots[lo:hi] >> 1
+                for col in range(len(name) + width, len(name), -1):  # last digit first
+                    lines[:, col] = ord("0") + seq % 10
+                    seq //= 10
+                lines[:, -2] = ord("0") + (slots[lo:hi] & 1)
+                yield lines
 
 
 def cmd_keyrate(cfg: RunConfig, args) -> int:
@@ -89,8 +100,9 @@ def cmd_optimize(cfg: RunConfig, args) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
-    if args.dump_events and args.out and (
-            os.path.realpath(args.out) == os.path.realpath(args.dump_events)):
+    out, dump = args.out, args.dump_events
+    if out and dump and (os.path.realpath(out) == os.path.realpath(dump) or (
+            os.path.exists(out) and os.path.exists(dump) and os.path.samefile(out, dump))):
         raise ConfigError("--out and --dump-events name the same file")
     params = cfg.build(ProtocolParams)
     attack = cfg.build(AttackConfig, kind=AttackKind(cfg["attack"]))
@@ -114,13 +126,8 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
              dist.shrink_fraction, dist.n_secret, dist.n_secret / n, sim.empirical_r,
              sim.monitoring_rate_per_pulse, pred_v, pred_i)])
     if args.dump_events:
-        ev = _metadata(cfg, "simulate-events")
-        ev.append("detector,sequence_index,slot_index")
-        rec = sim.record
-        for name, g in zip(DETECTORS, (rec.d_b, rec.d_m1, rec.d_m2)):
-            for s, sl in zip((g >> 1).tolist(), (g & 1).tolist()):
-                ev.append(f"{name},{s},{sl}")
-        _emit(args.dump_events, ev)
+        _write(args.dump_events, cfg, "simulate-events", "detector,sequence_index,slot_index",
+               (), blocks=_event_lines(sim.record))
     return 2 if est.abort else 0
 
 

@@ -6,7 +6,8 @@ slots, the interferometer adds one trailing slot. Randomness comes from
 counter-based Philox streams keyed by (seed, stage), so every draw layout is a
 fixed function of the pulse train. Each detector draws candidate slots by
 geometric gaps at a bound on its click probability and thins them to the exact
-one, so detection costs O(clicks), not O(slots). There is no intra-slot jitter.
+one, so detection costs O(clicks), not O(slots). Only the monitors read pulse
+phases, and only at boundary slots. There is no intra-slot jitter.
 
 One optical chain serves both the i.i.d. stream and the framed mode of
 cowsim.experiment: a stream is a single frame, and a framed run repeats one
@@ -70,7 +71,8 @@ class SymbolStream:
     and its table Alice's pulses per kind. Every window is at phase 0 but the
     ascending windows `resent`, which Eve resent at one phase each (`phases`);
     only those may be brighter than Alice's pulses. A clean stream has none.
-    An attack rewrites shapes and table and sets resent and phases only.
+    An attack rewrites shapes and table and sets resent and phases only. The
+    chain reads phases only at monitor boundary slots (phase_steps).
     """
 
     kinds: np.ndarray
@@ -92,22 +94,33 @@ class SymbolStream:
     def n_symbols(self) -> int:
         return len(self.kinds)
 
-    def pulses(self, idx: np.ndarray) -> tuple:
-        """(amplitude, phase) of the pulses at indices idx, two per window;
-        0 for indices outside the train."""
+    def amplitudes(self, idx: np.ndarray) -> np.ndarray:
+        """Amplitudes of the pulses at indices idx, two per window; 0 outside the train."""
         inside = (idx >= 0) & (idx < 2 * len(self.kinds))
         # pulse idx & 1 of window idx >> 1 (clipped), in place: few big temporaries
         flat = idx & 1
         flat += 2 * self.shapes.take(idx >> 1, mode="clip")
         amplitude = self.table.take(flat)
         amplitude[~inside] = 0.0
+        return amplitude
+
+    def pulses(self, idx: np.ndarray) -> tuple:
+        """(amplitude, phase) of the pulses at indices idx, from a dense phase table."""
+        phase = np.zeros(len(self.kinds) + 2)  # a window outside the train is at 0
+        phase[self.resent + 1] = self.phases
+        return self.amplitudes(idx), phase.take((idx >> 1) + 1, mode="clip")
+
+    def phase_steps(self, slots: np.ndarray) -> np.ndarray | float:
+        """Phase of pulse j - 1 less that of pulse j at each monitor output slot
+        j: 0 inside a window, so only boundary slots are looked up, in one search."""
         if not len(self.resent):
-            return amplitude, 0.0
-        # a window outside the train is never resent
-        at = np.searchsorted(self.resent, idx >> 1)
-        phase = self.phases.take(at, mode="clip")
-        phase[self.resent.take(at, mode="clip") != idx >> 1] = 0.0
-        return amplitude, phase
+            return 0.0
+        dphi, edge = np.zeros(len(slots)), np.flatnonzero((slots & 1) == 0)
+        k = (slots[edge] >> 1) - np.arange(2)[:, None]  # slot 2k pairs windows k and k - 1
+        at = np.searchsorted(self.resent, k[0]) - np.arange(2)[:, None]  # k - 1 precedes k
+        phase = self.phases.take(at, mode="clip") * (self.resent.take(at, mode="clip") == k)
+        dphi[edge] = phase[1] - phase[0]
+        return dphi
 
 
 @dataclass(frozen=True)
@@ -381,12 +394,12 @@ def _run_chain(config: OpticsConfig, stream: SymbolStream, seed: int,
                                          monitor if k else data)
         ss = slots % width
         if k == 0:
-            intensity = propagate(stream.pulses(ss)[0], params)[0]
+            intensity = propagate(stream.amplitudes(ss), params)[0]
         else:
-            (a_left, ph_left), (a_right, ph_right) = stream.pulses(ss - 1), stream.pulses(ss)
             intensity = interferometer_outputs(
-                propagate(a_left, params)[1], propagate(a_right, params)[1],
-                ph_left - ph_right, params.v, config.insertion_loss)[k - 1]
+                propagate(stream.amplitudes(ss - 1), params)[1],
+                propagate(stream.amplitudes(ss), params)[1],
+                stream.phase_steps(ss), params.v, config.insertion_loss)[k - 1]
         # integer indices: a boolean mask this irregular gathers several times slower
         slots = slots[np.flatnonzero(detect(intensity, p_hat, params.eta, params.p_d,
                                             rng, config.background))]

@@ -13,8 +13,9 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cowsim
@@ -24,6 +25,7 @@ from cowsim import (AttackConfig, AttackKind, ExperimentConfig, OpticsConfig,
                     OptimizationSpec, PnsModel, Protocol, ProtocolParams, RateMode)
 from cowsim.cli import main
 from cowsim.config import DEFAULTS, ConfigError, RunConfig
+from cowsim.experiment import DETECTORS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -304,17 +306,27 @@ class TestSimulateCommand:
         assert err.startswith("cowsim: error: ") and err.count("\n") == 1
         assert "none|intercept-resend" in err
 
-    @pytest.mark.parametrize("link", [False, True], ids=["same-path", "symlink"])
+    @pytest.mark.parametrize("link", ["same-path", "symlink", "hardlink"])
     def test_out_and_dump_on_one_file_is_one_error_line(self, tmp_path, link):
         # the event dump would overwrite the summary
         out = tmp_path / "same.csv"
-        dump = tmp_path / "link.csv" if link else out
-        if link:
+        dump = out if link == "same-path" else tmp_path / "link.csv"
+        if link == "symlink":
             dump.symlink_to(out)
+        if link == "hardlink":  # a hard link needs the file: it must keep its bytes
+            out.write_text("kept\n")
+            os.link(out, dump)
         code, stdout, err = run_cli("simulate", "--set", "n_symbols=20000",
                                     "--out", str(out), "--dump-events", str(dump))
-        assert code == 1 and stdout == "" and not out.exists()
+        assert code == 1 and stdout == "" and (
+            out.read_text() == "kept\n" if link == "hardlink" else not out.exists())
         assert err == "cowsim: error: --out and --dump-events name the same file\n"
+
+    def test_dump_to_a_directory_is_one_error_line(self, tmp_path):
+        code, _, err = run_cli("simulate", "--set", "n_symbols=2000",
+                               "--dump-events", str(tmp_path))
+        assert code == 1
+        assert err.startswith("cowsim: error: ") and err.count("\n") == 1
 
     def test_event_dump(self, tmp_path):
         dump = tmp_path / "events.csv"
@@ -347,6 +359,29 @@ class TestSimulateCommand:
         assert int(row["n_ambiguous"]) > 0
         assert len(per_symbol) == int(row["n_detected"])
         assert sum(n > 1 for n in per_symbol.values()) == int(row["n_ambiguous"])
+
+
+class TestEventLines:
+    """The event dump's byte writer against one f-string per click."""
+
+    # slots 0 and 1, both slots of each sequence index 10**k - 1 and 10**k,
+    # and the largest int64 slot
+    EDGES = [0, 1] + [2 * (10 ** k + d) + b for k in range(1, 19)
+                      for d in (-1, 0) for b in (0, 1)] + [2 ** 63 - 1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(clicks=st.lists(st.lists(st.one_of(st.sampled_from(EDGES),
+                                              st.integers(0, 10 ** 6),
+                                              st.integers(4 * 10 ** 9, 2 ** 63 - 1)),
+                                    max_size=30),
+                           min_size=3, max_size=3))
+    @example(clicks=[[], [0, 1], EDGES])
+    def test_bytes_match_per_line_formatting(self, clicks):
+        slots = [np.array(sorted(c), dtype=np.int64) for c in clicks]
+        expected = "".join(f"{name},{s >> 1},{s & 1}\n"
+                           for name, g in zip(DETECTORS, slots) for s in g.tolist())
+        got = b"".join(cowsim.cli._event_lines(cowsim.simulation.DetectionRecord(*slots)))
+        assert got == expected.encode()
 
 
 class TestExperimentCommand:

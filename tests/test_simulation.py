@@ -398,6 +398,29 @@ class TestSparseSampler:
         assert _boosted_slots(stream)[1].tolist() == [2, 3, 4, 6, 7, 8, 9, 10]
         self.assert_stream_exact(cfg, stream, per_slot=True)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_slot_of_random_short_attacked_trains(self, seed):
+        # random resent windows at random phases, with window 0, the last
+        # window and a run of three adjacent windows among them; only resent
+        # windows take Eve's bright rows, and any window her vacuum row
+        rng = np.random.default_rng(seed)
+        cfg = OpticsConfig(params=params(mu=1.0, t_b=0.5, eta=1.0, p_d=1e-2, v=0.9),
+                           insertion_loss=0.0)
+        n = int(rng.integers(5, 13))
+        is_resent = rng.random(n) < 0.4
+        is_resent[[0, -1]] = True
+        run = int(rng.integers(1, n - 3))
+        is_resent[run:run + 3] = True
+        resent = np.flatnonzero(is_resent)
+        kinds = rng.integers(0, 3, n).astype(np.int8)
+        eve = np.vstack(([0.0, 0.0], rng.uniform(0.0, 1.8, (2, 2))))
+        shapes = np.where(is_resent, rng.integers(0, 6, n), rng.integers(0, 4, n))
+        stream = SymbolStream(kinds, 1.0, shapes=shapes.astype(np.uint8),
+                              table=np.vstack((SymbolStream(kinds, 1.0).table, eve)),
+                              resent=resent, phases=rng.uniform(0.0, 2 * math.pi, len(resent)))
+        assert resent[0] == 0 and resent[-1] == n - 1 and np.any(np.diff(resent) == 1)
+        self.assert_stream_exact(cfg, stream, per_slot=True)
+
     def test_clean_stream(self):
         cfg = self.stream_config()
         self.assert_stream_exact(cfg, generate_symbols(2000, 0.3, 0.5, seed=1))
