@@ -100,9 +100,8 @@ def cmd_optimize(cfg: RunConfig, args) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
-    out, dump = args.out, args.dump_events
-    if out and dump and (os.path.realpath(out) == os.path.realpath(dump) or (
-            os.path.exists(out) and os.path.exists(dump) and os.path.samefile(out, dump))):
+    # main has made both files: samefile sees through symbolic and hard links
+    if args.out and args.dump_events and os.path.samefile(args.out, args.dump_events):
         raise ConfigError("--out and --dump-events name the same file")
     params = cfg.build(ProtocolParams)
     attack = cfg.build(AttackConfig, kind=AttackKind(cfg["attack"]))
@@ -177,6 +176,7 @@ def main(argv=None) -> int:
         if name == "simulate":
             sub.add_argument("--dump-events", dest="dump_events",
                              help="also write per-click events to this path")
+    created = []
     try:
         args = parser.parse_args(argv)
         # the dedicated flags are the last overrides
@@ -184,8 +184,14 @@ def main(argv=None) -> int:
                  if getattr(args, key) is not None]
         cfg = RunConfig.from_sources(args.config, args.set + flags,
                                      experiment=args.command == "experiment")
+        paths = [p for p in (args.out, getattr(args, "dump_events", None)) if p]
+        created = [p for p in paths if not os.path.exists(p)]
+        for path in paths:  # fail before the run, appending: that truncates nothing
+            open(path, "ab").close()
         return COMMANDS[args.command](cfg, args)
     except (ValueError, OSError, MemoryError) as exc:
+        for path in filter(os.path.exists, created):  # no empty or partial output
+            os.remove(path)
         print(f"cowsim: error: {exc}", file=sys.stderr)
         return 1
 

@@ -113,9 +113,16 @@ def announce(record: DetectionRecord) -> Announcement:
     A symbol whose both slots clicked (a dark count in the empty slot) is
     announced once and flagged ambiguous.
     """
-    detected, counts = np.unique(record.d_b >> 1, return_counts=True)
-    return Announcement(detected_indices=detected,
-                        ambiguous_indices=detected[counts > 1])
+    seq, first, last = _runs(record.d_b)
+    return Announcement(detected_indices=seq[first], ambiguous_indices=seq[first & ~last])
+
+
+def _runs(d_b: np.ndarray) -> tuple:
+    """d_b >> 1, and which clicks of the ascending d_b start and end a symbol's run."""
+    seq = d_b >> 1
+    first, last = np.ones((2, len(seq)), dtype=bool)
+    first[1:] = last[:-1] = seq[1:] != seq[:-1]
+    return seq, first, last
 
 
 def sift(stream: SymbolStream, d_b: np.ndarray) -> SiftedKeyPair:
@@ -125,12 +132,8 @@ def sift(stream: SymbolStream, d_b: np.ndarray) -> SiftedKeyPair:
     d_b holds ascending data-line slots, 2k + bit for symbol k. Symbol k is
     symbol k mod n_symbols of the stream, so a framed run repeats its frame's
     kinds."""
-    # ascending: a symbol clicked once differs from both neighbours
-    seq = d_b >> 1
-    new = seq[1:] != seq[:-1]
-    lone = np.ones(len(seq), dtype=bool)
-    lone[1:] = new
-    lone[:-1] &= new
+    seq, first, last = _runs(d_b)
+    lone = first & last  # a symbol clicked once
     kept, bob_bits = seq[lone], d_b[lone] & 1
     kinds = stream.kinds[kept % stream.n_symbols]
     # integer indices: a boolean mask this irregular gathers several times slower

@@ -6,8 +6,9 @@ slots, the interferometer adds one trailing slot. Randomness comes from
 counter-based Philox streams keyed by (seed, stage), so every draw layout is a
 fixed function of the pulse train. Each detector draws candidate slots by
 geometric gaps at a bound on its click probability and thins them to the exact
-one, so detection costs O(clicks), not O(slots). Only the monitors read pulse
-phases, and only at boundary slots. There is no intra-slot jitter.
+one, so detection costs O(clicks), not O(slots). A candidate looks its intensity
+up: the optics are evaluated once per pulse code, not per candidate. Only the
+monitors read pulse phases, and only at boundary slots. No intra-slot jitter.
 
 One optical chain serves both the i.i.d. stream and the framed mode of
 cowsim.experiment: a stream is a single frame, and a framed run repeats one
@@ -94,33 +95,32 @@ class SymbolStream:
     def n_symbols(self) -> int:
         return len(self.kinds)
 
-    def amplitudes(self, idx: np.ndarray) -> np.ndarray:
-        """Amplitudes of the pulses at indices idx, two per window; 0 outside the train."""
-        inside = (idx >= 0) & (idx < 2 * len(self.kinds))
-        # pulse idx & 1 of window idx >> 1 (clipped), in place: few big temporaries
-        flat = idx & 1
-        flat += 2 * self.shapes.take(idx >> 1, mode="clip")
-        amplitude = self.table.take(flat)
-        amplitude[~inside] = 0.0
-        return amplitude
+    def codes(self, idx: np.ndarray) -> np.ndarray:
+        """Pulse code of each pulse index idx: entry 2 * shapes[idx >> 1] + (idx & 1)
+        of the flat table, or table.size (no pulse) outside the train."""
+        code = idx & 1
+        code += 2 * self.shapes.take(idx >> 1, mode="clip")
+        # integer indices: a boolean mask this irregular stores several times slower
+        code[np.flatnonzero((idx < 0) | (idx >= 2 * len(self.kinds)))] = self.table.size
+        return code
 
     def pulses(self, idx: np.ndarray) -> tuple:
         """(amplitude, phase) of the pulses at indices idx, from a dense phase table."""
         phase = np.zeros(len(self.kinds) + 2)  # a window outside the train is at 0
         phase[self.resent + 1] = self.phases
-        return self.amplitudes(idx), phase.take((idx >> 1) + 1, mode="clip")
+        return (np.append(self.table, 0.0).take(self.codes(idx)),
+                phase.take((idx >> 1) + 1, mode="clip"))
 
-    def phase_steps(self, slots: np.ndarray) -> np.ndarray | float:
-        """Phase of pulse j - 1 less that of pulse j at each monitor output slot
-        j: 0 inside a window, so only boundary slots are looked up, in one search."""
-        if not len(self.resent):
-            return 0.0
-        dphi, edge = np.zeros(len(slots)), np.flatnonzero((slots & 1) == 0)
+    def phase_steps(self, slots: np.ndarray) -> tuple:
+        """(indices into slots, steps) where the phase of pulse j - 1 less that of
+        pulse j is nonzero, for monitor output slots j of a stream with resent
+        windows: 0 inside a window, so only boundary slots are looked up."""
+        edge = np.flatnonzero((slots & 1) == 0)
         k = (slots[edge] >> 1) - np.arange(2)[:, None]  # slot 2k pairs windows k and k - 1
         at = np.searchsorted(self.resent, k[0]) - np.arange(2)[:, None]  # k - 1 precedes k
         phase = self.phases.take(at, mode="clip") * (self.resent.take(at, mode="clip") == k)
-        dphi[edge] = phase[1] - phase[0]
-        return dphi
+        dphi = phase[1] - phase[0]
+        return edge[dphi != 0], dphi[dphi != 0]
 
 
 @dataclass(frozen=True)
@@ -341,19 +341,24 @@ def _class_candidates(rng: np.random.Generator, p_lo: float, p_hi: float, n: int
 
 
 def _suppress_deadtime(times: np.ndarray, deadtime: float) -> np.ndarray:
-    """Non-paralyzable deadtime: keep a click only if it is at least deadtime
-    after the previously kept one. times must be ascending; a click at least
-    deadtime after the one before it is always kept, so the loop skips it."""
-    keep = np.ones(len(times), dtype=bool)
-    t = times.tolist()
-    last, dropped = -math.inf, []
-    for i in (np.flatnonzero(np.diff(times) < deadtime) + 1).tolist():
-        if not dropped or dropped[-1] != i - 1:
-            last = t[i - 1]
-        if t[i] - last < deadtime:
-            dropped.append(i)
-    keep[dropped] = False
-    return keep
+    """Non-paralyzable deadtime: keep a click only if times[i] - last >= deadtime
+    for the previously kept one; times must be ascending. A click that far after
+    the one before it heads a run and is always kept. From a kept click at t the
+    next is the first j with times[j] - t >= deadtime: all runs jump at once."""
+    times = np.append(times, math.inf)  # a head past the last click ends every run
+    keep = np.diff(times, prepend=-math.inf) >= deadtime
+    at = np.flatnonzero(keep[:-1] > keep[1:])  # heads followed by a close click
+    while len(at):
+        t = times[at]
+        j = np.searchsorted(times, t + deadtime)
+        # t + deadtime rounds: step j to the first click that the loop's test keeps
+        while (up := times[j] - t < deadtime).any():
+            j += up
+        while (down := times[j - 1] - t >= deadtime).any():
+            j -= down
+        at = j[~keep[j]]  # a jump onto a head ends its run
+        keep[at] = True
+    return keep[:-1]
 
 
 def _wilson(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -369,6 +374,24 @@ def _wilson(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
     return lo, hi
 
 
+def _intensity(config: OpticsConfig, stream: SymbolStream, k: int,
+               ss: np.ndarray) -> np.ndarray:
+    """Intensity at D_B (k = 0), D_M1 or D_M2 at slots ss of one pass of the train:
+    from a table by pulse code, on a monitor by the codes of pulses j - 1 and j. A
+    slot whose phase step is nonzero is evaluated alone, by the table's expression."""
+    data, monitor = propagate(np.append(stream.table, 0.0), config.params)
+    if k == 0:
+        return data.take(stream.codes(ss))
+    pair = stream.codes(ss - 1) * len(monitor) + stream.codes(ss)
+    v, loss = config.params.v, config.insertion_loss
+    out = interferometer_outputs(monitor[:, None], monitor, 0.0, v, loss)[k - 1].take(pair)
+    if len(stream.resent):
+        at, dphi = stream.phase_steps(ss)
+        left, right = np.divmod(pair[at], len(monitor))
+        out[at] = interferometer_outputs(monitor[left], monitor[right], dphi, v, loss)[k - 1]
+    return out
+
+
 def _run_chain(config: OpticsConfig, stream: SymbolStream, seed: int,
               stages: tuple[int, int, int], n_frames: int = 1, n_slots: int = 0,
               frame_period_ns: float = 0.0) -> list:
@@ -376,12 +399,12 @@ def _run_chain(config: OpticsConfig, stream: SymbolStream, seed: int,
     train, each as one ascending array of absolute slots frame * width + slot,
     where width is the detector's slots per frame. Every detector sees at
     least n_slots slots per frame (dark counts only past the light); stages
-    are the detectors' Philox stage ids. The optics are evaluated only at
-    candidate slots (see detect), drawn per class: slots touching a window
-    brighter than Alice's pulses at the bound of the brightest pulse, all
-    others at the bound of sqrt(mu). Only an attacked stream, a single frame,
-    has such windows. Deadtime acts on the absolute times
-    frame * frame_period_ns + slot * pulse_period_ns, so it spans frames."""
+    are the detectors' Philox stage ids. Candidate slots (see detect) are
+    drawn per class: slots touching a window brighter than Alice's pulses at
+    the bound of the brightest pulse, all others at the bound of sqrt(mu).
+    Only an attacked stream, a single frame, has such windows. The optics are
+    evaluated once per pulse code, not per candidate (_intensity). Deadtime
+    acts on the times frame * frame_period_ns + slot * pulse_period_ns."""
     params = config.params
     bounds = zip(_click_bounds(config, math.sqrt(stream.mu)),
                  _click_bounds(config, float(stream.table.max())))
@@ -392,14 +415,7 @@ def _run_chain(config: OpticsConfig, stream: SymbolStream, seed: int,
         width = max(n_slots, 2 * stream.n_symbols + (k > 0))  # one more monitor slot
         slots, p_hat = _class_candidates(rng, p_lo, p_hi, n_frames * width,
                                          monitor if k else data)
-        ss = slots % width
-        if k == 0:
-            intensity = propagate(stream.amplitudes(ss), params)[0]
-        else:
-            intensity = interferometer_outputs(
-                propagate(stream.amplitudes(ss - 1), params)[1],
-                propagate(stream.amplitudes(ss), params)[1],
-                stream.phase_steps(ss), params.v, config.insertion_loss)[k - 1]
+        intensity = _intensity(config, stream, k, slots % width)
         # integer indices: a boolean mask this irregular gathers several times slower
         slots = slots[np.flatnonzero(detect(intensity, p_hat, params.eta, params.p_d,
                                             rng, config.background))]

@@ -323,10 +323,30 @@ class TestSimulateCommand:
         assert err == "cowsim: error: --out and --dump-events name the same file\n"
 
     def test_dump_to_a_directory_is_one_error_line(self, tmp_path):
-        code, _, err = run_cli("simulate", "--set", "n_symbols=2000",
-                               "--dump-events", str(tmp_path))
-        assert code == 1
+        # the output paths are opened before the run: no summary comes first
+        code, out, err = run_cli("simulate", "--set", "n_symbols=2000",
+                                 "--dump-events", str(tmp_path))
+        assert code == 1 and out == ""
         assert err.startswith("cowsim: error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_failed_run_leaves_the_outputs_as_they_were(self, tmp_path, monkeypatch,
+                                                        capsys, existing):
+        # opening them before the run truncates nothing, and a file it made is
+        # removed again when the run fails
+        out, dump = tmp_path / "out.csv", tmp_path / "events.csv"
+        if existing:
+            out.write_text("kept\n")
+            dump.write_text("kept\n")
+
+        def fail(*args, **kwargs):
+            raise MemoryError("out of memory")
+
+        monkeypatch.setattr(cowsim.cli, "run_protocol", fail)
+        assert main(["simulate", "--out", str(out), "--dump-events", str(dump)]) == 1
+        assert capsys.readouterr() == ("", "cowsim: error: out of memory\n")
+        for path in (out, dump):
+            assert path.read_text() == "kept\n" if existing else not path.exists()
 
     def test_event_dump(self, tmp_path):
         dump = tmp_path / "events.csv"

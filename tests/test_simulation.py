@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cowsim import (
@@ -45,6 +45,7 @@ from cowsim.simulation import (
     _bernoulli,
     _boosted_slots,
     _click_bounds,
+    _intensity,
     _run_chain,
     _suppress_deadtime,
     _wilson,
@@ -277,17 +278,69 @@ def train_pairs(amplitudes, phases):
     return left, right, np.concatenate(([0.0], phases)) - np.concatenate((phases, [0.0]))
 
 
-def dense_click_probabilities(config, amplitudes, phases, n_slots=0):
-    """Every slot's click probability for D_B, D_M1 and D_M2, from the whole
-    train at once: the reference the sparse sampler must reproduce. Slots past
-    the light, up to n_slots, hold dark counts only."""
+def dense_intensities(config, amplitudes, phases, n_slots=0):
+    """Every slot's intensity at D_B, D_M1 and D_M2, from the whole train at
+    once. Slots past the light, up to n_slots, are dark."""
     p = config.params
     data, monitor = propagate(amplitudes, p)
     m1, m2 = interferometer_outputs(*train_pairs(monitor, phases), p.v,
                                     config.insertion_loss)
-    return [1.0 - (1.0 - p.p_d) * (1.0 - config.background)
-            * np.exp(-p.eta * np.pad(i, (0, max(n_slots - len(i), 0))))
-            for i in (data, m1, m2)]
+    return [np.pad(i, (0, max(n_slots - len(i), 0))) for i in (data, m1, m2)]
+
+
+def dense_click_probabilities(config, amplitudes, phases, n_slots=0):
+    """Every slot's click probability for D_B, D_M1 and D_M2: the reference
+    the sparse sampler must reproduce. Slots past the light, up to n_slots,
+    hold dark counts only."""
+    p = config.params
+    return [1.0 - (1.0 - p.p_d) * (1.0 - config.background) * np.exp(-p.eta * i)
+            for i in dense_intensities(config, amplitudes, phases, n_slots)]
+
+
+def short_attacked_train():
+    """Resends brighter than Alice's pulses, one next to a clean window on
+    either side (monitor slots 4 and 6 touch them only at a boundary)."""
+    cfg = OpticsConfig(params=params(mu=1.0, t_b=0.5, eta=1.0, p_d=1e-2, v=0.5),
+                       insertion_loss=0.0)
+    kinds = np.array([DECOY, BIT1, DECOY, BIT0, DECOY, BIT1], dtype=np.int8)
+    pair, single = math.sqrt(3.2), math.sqrt(6.4)  # a boost of 3.2 at mu = 1
+    eve = [[0.0, 0.0], [pair, pair], [single, 0.0], [0.0, single]]
+    stream = SymbolStream(kinds, 1.0, shapes=np.array([2, 6, 2, 5, 4, 1], dtype=np.uint8),
+                          table=np.vstack((SymbolStream(kinds, 1.0).table, eve)),
+                          resent=np.array([1, 3, 4]), phases=np.array([1.5, 4.7, 3.0]))
+    return cfg, stream
+
+
+def random_short_attacked_train(seed):
+    """Random resent windows at random phases, with window 0, the last window
+    and a run of three adjacent windows among them; only resent windows take
+    Eve's bright rows, and any window her vacuum row."""
+    rng = np.random.default_rng(seed)
+    cfg = OpticsConfig(params=params(mu=1.0, t_b=0.5, eta=1.0, p_d=1e-2, v=0.9),
+                       insertion_loss=0.0)
+    n = int(rng.integers(5, 13))
+    is_resent = rng.random(n) < 0.4
+    is_resent[[0, -1]] = True
+    run = int(rng.integers(1, n - 3))
+    is_resent[run:run + 3] = True
+    resent = np.flatnonzero(is_resent)
+    kinds = rng.integers(0, 3, n).astype(np.int8)
+    eve = np.vstack(([0.0, 0.0], rng.uniform(0.0, 1.8, (2, 2))))
+    shapes = np.where(is_resent, rng.integers(0, 6, n), rng.integers(0, 4, n))
+    stream = SymbolStream(kinds, 1.0, shapes=shapes.astype(np.uint8),
+                          table=np.vstack((SymbolStream(kinds, 1.0).table, eve)),
+                          resent=resent, phases=rng.uniform(0.0, 2 * math.pi, len(resent)))
+    assert resent[0] == 0 and resent[-1] == n - 1 and np.any(np.diff(resent) == 1)
+    return cfg, stream
+
+
+def framed_preset(**over):
+    """The framed D010 preset's optics, with its frame and its gated slots."""
+    p = params(mu=0.5, loss_db=5.0, f=0.1, t_b=0.85, eta=0.1, p_d=2.5e-5 * 1.7,
+               v=0.92, pulse_period_ns=1e9 / 434e6)
+    cfg = ExperimentConfig(params=p, **over)
+    frame = SymbolStream(np.array(FRAME_PATTERNS["D010"], dtype=np.int8), p.mu)
+    return cfg, frame, int(cfg.gate_ns // p.pulse_period_ns) + 1
 
 
 class TestInterfere:
@@ -385,41 +438,13 @@ class TestSparseSampler:
         self.assert_stream_exact(cfg, stream, per_slot=True)
 
     def test_every_slot_of_a_short_attacked_train(self):
-        # resends brighter than Alice's pulses, one next to a clean window on
-        # either side (monitor slots 4 and 6 touch them only at a boundary)
-        cfg = OpticsConfig(params=params(mu=1.0, t_b=0.5, eta=1.0, p_d=1e-2, v=0.5),
-                           insertion_loss=0.0)
-        kinds = np.array([DECOY, BIT1, DECOY, BIT0, DECOY, BIT1], dtype=np.int8)
-        pair, single = math.sqrt(3.2), math.sqrt(6.4)  # a boost of 3.2 at mu = 1
-        eve = [[0.0, 0.0], [pair, pair], [single, 0.0], [0.0, single]]
-        stream = SymbolStream(kinds, 1.0, shapes=np.array([2, 6, 2, 5, 4, 1], dtype=np.uint8),
-                              table=np.vstack((SymbolStream(kinds, 1.0).table, eve)),
-                              resent=np.array([1, 3, 4]), phases=np.array([1.5, 4.7, 3.0]))
+        cfg, stream = short_attacked_train()
         assert _boosted_slots(stream)[1].tolist() == [2, 3, 4, 6, 7, 8, 9, 10]
         self.assert_stream_exact(cfg, stream, per_slot=True)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_every_slot_of_random_short_attacked_trains(self, seed):
-        # random resent windows at random phases, with window 0, the last
-        # window and a run of three adjacent windows among them; only resent
-        # windows take Eve's bright rows, and any window her vacuum row
-        rng = np.random.default_rng(seed)
-        cfg = OpticsConfig(params=params(mu=1.0, t_b=0.5, eta=1.0, p_d=1e-2, v=0.9),
-                           insertion_loss=0.0)
-        n = int(rng.integers(5, 13))
-        is_resent = rng.random(n) < 0.4
-        is_resent[[0, -1]] = True
-        run = int(rng.integers(1, n - 3))
-        is_resent[run:run + 3] = True
-        resent = np.flatnonzero(is_resent)
-        kinds = rng.integers(0, 3, n).astype(np.int8)
-        eve = np.vstack(([0.0, 0.0], rng.uniform(0.0, 1.8, (2, 2))))
-        shapes = np.where(is_resent, rng.integers(0, 6, n), rng.integers(0, 4, n))
-        stream = SymbolStream(kinds, 1.0, shapes=shapes.astype(np.uint8),
-                              table=np.vstack((SymbolStream(kinds, 1.0).table, eve)),
-                              resent=resent, phases=rng.uniform(0.0, 2 * math.pi, len(resent)))
-        assert resent[0] == 0 and resent[-1] == n - 1 and np.any(np.diff(resent) == 1)
-        self.assert_stream_exact(cfg, stream, per_slot=True)
+        self.assert_stream_exact(*random_short_attacked_train(seed), per_slot=True)
 
     def test_clean_stream(self):
         cfg = self.stream_config()
@@ -434,12 +459,10 @@ class TestSparseSampler:
         self.assert_stream_exact(cfg, stream)
 
     def test_framed_preset(self):
-        p = params(mu=0.5, loss_db=5.0, f=0.1, t_b=0.85, eta=0.1, p_d=2.5e-5 * 1.7,
-                   v=0.92, pulse_period_ns=1e9 / 434e6)
-        cfg = ExperimentConfig(params=p, n_frames=2000, deadtime_ns=0.0)
+        cfg, frame, n_slots = framed_preset(n_frames=2000, deadtime_ns=0.0)
         first = run_experiment(cfg, seed=0)
-        frame = SymbolStream(np.array(FRAME_PATTERNS["D010"], dtype=np.int8), p.mu)
-        dense = dense_click_probabilities(cfg, *dense_train(frame), len(first.slot_times_ns))
+        assert len(first.slot_times_ns) == n_slots
+        dense = dense_click_probabilities(cfg, *dense_train(frame), n_slots)
         totals = {name: np.zeros_like(c) for name, c in first.counts.items()}
         for seed in range(self.N_SEEDS):
             for name, c in run_experiment(cfg, seed).counts.items():
@@ -473,6 +496,34 @@ class TestSparseSampler:
             p_hat = np.full(len(p), p_lo)
             p_hat[_boosted_slots(stream)[k > 0]] = p_hi
             assert np.all(p <= p_hat)
+
+
+class TestIntensityTables:
+    """The chain's intensities, looked up per pulse code, equal every slot's
+    optics evaluated over the whole train, bit for bit."""
+
+    def assert_exact(self, cfg, stream, n_slots=0):
+        for k, dense in enumerate(dense_intensities(cfg, *dense_train(stream), n_slots)):
+            assert np.array_equal(_intensity(cfg, stream, k, np.arange(len(dense))), dense), k
+
+    def test_short_attacked_train(self):
+        self.assert_exact(*short_attacked_train())
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_short_attacked_trains(self, seed):
+        self.assert_exact(*random_short_attacked_train(seed))
+
+    def test_intercept_resend_stream(self):
+        cfg = OpticsConfig(params=params(v=0.9), insertion_loss=0.3)
+        attack = AttackConfig(kind=AttackKind.INTERCEPT_RESEND, p_ir=0.5)
+        stream = apply_intercept_resend(generate_symbols(2000, 0.3, 0.5, seed=1),
+                                        attack, cfg.params, stage_rng(1, 2))
+        self.assert_exact(cfg, stream)
+
+    def test_framed_preset_with_its_dark_gated_slots(self):
+        cfg, frame, n_slots = framed_preset()
+        assert n_slots > 2 * frame.n_symbols + 1  # slots past the light are gated
+        self.assert_exact(cfg, frame, n_slots)
 
 
 class TestRunSimulation:
@@ -595,6 +646,32 @@ class TestDeadtime:
         times = np.cumsum(gaps) * step
         keep = _suppress_deadtime(times, deadtime * step)
         assert np.array_equal(keep, self.reference_suppression(times, deadtime * step))
+
+    @settings(max_examples=300, deadline=None)
+    @given(clicks=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 10),
+                                     st.none() | st.integers(-2, 2)), max_size=80),
+           deadtime=st.sampled_from([10000.0, 1e4 / 3, 7e9 / 434e6, 0.1]))
+    @example(clicks=[], deadtime=10000.0)
+    @example(clicks=[(3, 4, None)], deadtime=10000.0)
+    def test_matches_one_pass_at_float_edges(self, clicks, deadtime):
+        # framed times on a 600 kHz frame clock and a 434 MHz pulse clock, none
+        # dyadic; a click with a nudge sits that many floats off t + deadtime
+        # for the last kept click t, which rounds: the jumps must follow the
+        # loop's subtraction. Clicks never go back, so some times repeat
+        times, frame, last = [], 0, -math.inf
+        for frames, slot, nudge in clicks:
+            frame += frames
+            t = frame * (1e9 / 600e3) + slot * (1e9 / 434e6)
+            if nudge is not None and times:
+                t = last + deadtime
+                for _ in range(abs(nudge)):
+                    t = np.nextafter(t, math.copysign(math.inf, nudge))
+            times.append(max(float(t), times[-1]) if times else float(t))
+            if times[-1] - last >= deadtime:
+                last = times[-1]
+        times = np.array(times)
+        keep = _suppress_deadtime(times, deadtime)
+        assert np.array_equal(keep, self.reference_suppression(times, deadtime))
 
     def test_matches_one_pass_on_framed_times(self):
         # a D_B-like click list: 40k clicks over 600k frames of 11 gated slots
