@@ -80,7 +80,8 @@ def apply_intercept_resend(stream: SymbolStream, config: AttackConfig,
     _bernoulli(rng, config.p_ir, shapes, vacuum)
     windows = np.flatnonzero(shapes == vacuum)
     hits = _candidates(rng, p_det, 2 * len(windows))
-    hit_windows, pulse = windows[hits >> 1], hits & 1
+    hit_windows, pulse = windows.take(hits >> 1), (hits & 1).astype(np.int8)
+    del windows, hits  # large at 0 dB, where Eve detects 39 % of the pulses
     # no photon, no detection: the empty pulse of bit b (BIT0 = 0, BIT1 = 1) is 1 - b
     lit = np.flatnonzero(stream.kinds[hit_windows] + pulse != 1)
     hit_windows, pulse = hit_windows[lit], pulse[lit]

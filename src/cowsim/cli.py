@@ -150,6 +150,7 @@ COMMANDS = {"keyrate": cmd_keyrate, "curve": cmd_curve, "optimize": cmd_optimize
 
 # each dedicated flag is a shorthand for --set KEY=VALUE, checked the same way
 FLAGS = {"--seed": "seed", "--protocol": "protocol", "--pns-model": "pns_model"}
+_PARSER = []  # the one parser, built by the first main call rather than at import
 
 
 class _Parser(argparse.ArgumentParser):
@@ -160,25 +161,27 @@ class _Parser(argparse.ArgumentParser):
 
 
 def main(argv=None) -> int:
-    parser = _Parser(
-        prog="cowsim",
-        description="Simulator and key-rate analysis for one-way time-bin QKD")
-    parser.add_argument("--version", action="version", version=f"cowsim {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        sub = subs.add_parser(name)
-        sub.add_argument("--config", help="flat key = value configuration file")
-        sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                         help="override one configuration key (repeatable)")
-        sub.add_argument("--out", help="output path (default: stdout)")
-        for flag, key in FLAGS.items():
-            sub.add_argument(flag, dest=key, help=f"same as --set {key}=VALUE")
-        if name == "simulate":
-            sub.add_argument("--dump-events", dest="dump_events",
-                             help="also write per-click events to this path")
+    if not _PARSER:  # parsing changes no parser state: --set appends to a copy
+        parser = _Parser(
+            prog="cowsim",
+            description="Simulator and key-rate analysis for one-way time-bin QKD")
+        parser.add_argument("--version", action="version", version=f"cowsim {__version__}")
+        subs = parser.add_subparsers(dest="command", required=True)
+        for name in COMMANDS:
+            sub = subs.add_parser(name)
+            sub.add_argument("--config", help="flat key = value configuration file")
+            sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                             help="override one configuration key (repeatable)")
+            sub.add_argument("--out", help="output path (default: stdout)")
+            for flag, key in FLAGS.items():
+                sub.add_argument(flag, dest=key, help=f"same as --set {key}=VALUE")
+            if name == "simulate":
+                sub.add_argument("--dump-events", dest="dump_events",
+                                 help="also write per-click events to this path")
+        _PARSER.append(parser)
     created = []
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER[0].parse_args(argv)
         # the dedicated flags are the last overrides
         flags = [f"{key}={getattr(args, key)}" for key in FLAGS.values()
                  if getattr(args, key) is not None]

@@ -295,49 +295,69 @@ def _click_bounds(config: OpticsConfig, peak: float) -> tuple:
     return p[0], p[1], p[1]
 
 
-def _boosted_slots(stream: SymbolStream) -> tuple:
-    """Ascending D_B and monitor slots touching a window brighter than Alice's
-    pulses: its two pulse slots, and on the monitor ports also the boundary
-    slot on either side. Every other slot sees pulses no brighter than
-    sqrt(mu); only a resent window can be brighter, so the short list of
-    resent windows is all that is read."""
+def _bright_runs(stream: SymbolStream) -> tuple:
+    """(first, last) windows of each run of consecutive windows brighter than
+    Alice's pulses, ascending: only resent windows can be, so only they are
+    read. A run touches D_B slots [2 first, 2 last + 1], monitor slots one more."""
     bright = stream.table.max(axis=1) > math.sqrt(stream.mu)
     windows = stream.resent[bright[stream.shapes[stream.resent]]]
-    data = (2 * windows[:, None] + np.arange(2)).ravel()
-    monitor = (2 * windows[:, None] + np.arange(3)).ravel()
-    # adjacent windows share the boundary slot between them
-    return data, monitor[np.diff(monitor, prepend=-1) > 0]
+    cut = np.flatnonzero(np.diff(windows) > 1)  # the last windows of all runs but one
+    return np.append(windows[:1], windows[cut + 1]), np.append(windows[cut], windows[-1:])
 
 
 def _candidates(rng: np.random.Generator, p_hat: float, n: int) -> np.ndarray:
     """Ascending slots of a Bernoulli(p_hat) process over n slots, drawn as
-    cumulative sums of geometric gaps: O(candidates) work, not O(n)."""
+    cumulative sums of geometric gaps: O(candidates) work, not O(n). Below 1/3
+    a gap is ceil(E / -log1p(-p_hat)) of a standard exponential E, one pass per
+    chunk: numpy's own inversion, so Generator.geometric's integers and draws."""
     if p_hat <= 0.0 or n <= 0:
         return np.empty(0, dtype=np.int64)
     size = int(n * p_hat + 5.0 * math.sqrt(n * p_hat)) + 1
     chunks, last = [], -1
     while last < n:
         # a gap past the end ends the process; clipping it keeps the sum in range
-        chunks.append(last + np.cumsum(np.minimum(rng.geometric(p_hat, size), n + 1)))
-        last = int(chunks[-1][-1])
-    pos = np.concatenate(chunks)
+        if p_hat < 1.0 / 3.0 and n < 2 ** 52:  # so that gaps + 2**52 below are exact
+            gaps = rng.standard_exponential(size)
+            with np.errstate(over="ignore"):  # an infinite gap ends the process
+                np.ceil(np.divide(gaps, -math.log1p(-p_hat), out=gaps), out=gaps)
+            np.minimum(gaps, n + 1, out=gaps)
+            gaps += 2.0 ** 52  # the gap is now the low bits: the integers in place
+            pos = gaps.view(np.int64)
+            pos -= np.float64(2.0 ** 52).view(np.int64)
+        else:  # as numpy draws them: a search over uniforms from 1/3 up
+            pos = rng.geometric(p_hat, size)
+            np.minimum(pos, n + 1, out=pos)
+        chunks.append(np.add(np.cumsum(pos, out=pos), last, out=pos))
+        last = int(pos[-1])
+    pos = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     return pos[:np.searchsorted(pos, n)]
 
 
 def _class_candidates(rng: np.random.Generator, p_lo: float, p_hi: float, n: int,
-                      boosted: np.ndarray) -> tuple:
-    """Ascending candidate slots over n slots with each one's bound: the
-    ascending slots `boosted` drawn at p_hi, all others at p_lo. The p_lo
-    class is drawn first, so without boosted slots the draws are those of
-    one Bernoulli(p_lo) process."""
-    lo = _candidates(rng, p_lo, n - len(boosted))
-    if not len(boosted):
-        return lo, p_lo
-    # the r-th slot outside `boosted` lies past the boosted slots it skips
-    lo += np.searchsorted(boosted - np.arange(len(boosted)), lo, side="right")
-    slots = np.concatenate((lo, boosted[_candidates(rng, p_hi, len(boosted))]))
-    order = np.argsort(slots, kind="stable")
-    return slots[order], np.where(order < len(lo), p_lo, p_hi)
+                      first: np.ndarray, last: np.ndarray, span: int) -> tuple:
+    """Ascending candidate slots over n slots, each one's bound, and the indices
+    of those drawn at p_hi: the slots [2 first, 2 last + span) of each ascending
+    run of windows at p_hi, all others at p_lo. The p_lo class is drawn first, so
+    without runs the draws are those of one Bernoulli(p_lo) process."""
+    ends = np.append(0, np.cumsum(2 * (last - first) + span))  # run slots before each run
+    lo = _candidates(rng, p_lo, n - int(ends[-1]))
+    if not len(first):
+        return lo, p_lo, np.empty(0, dtype=np.int64)  # a view would keep lo alive
+    hi = _candidates(rng, p_hi, int(ends[-1]))
+    outside = 2 * last + span - ends[1:]  # slots outside the runs up to each run's end
+    # the r-th slot outside lies past the runs with at most r slots outside up to their ends
+    past = np.searchsorted(outside, lo, side="right")
+    within = np.searchsorted(ends[1:], hi, side="right")  # the run of each p_hi one
+    lo += ends.take(past)
+    hi += outside.take(within)
+    # merged, a candidate follows its own class's earlier ones and the other's
+    hi_at = np.bincount(past, minlength=len(ends)).cumsum().take(within) + np.arange(len(hi))
+    lo_at = np.bincount(within + 1, minlength=len(ends)).cumsum().take(past) + np.arange(len(lo))
+    slots = np.empty(len(lo) + len(hi), dtype=np.int64)
+    slots[lo_at], slots[hi_at] = lo, hi
+    p_hat = np.full(len(slots), p_lo)
+    p_hat[hi_at] = p_hi
+    return slots, p_hat, hi_at
 
 
 def _suppress_deadtime(times: np.ndarray, deadtime: float) -> np.ndarray:
@@ -375,10 +395,11 @@ def _wilson(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
 
 
 def _intensity(config: OpticsConfig, stream: SymbolStream, k: int,
-               ss: np.ndarray) -> np.ndarray:
+               ss: np.ndarray, near: np.ndarray | None = None) -> np.ndarray:
     """Intensity at D_B (k = 0), D_M1 or D_M2 at slots ss of one pass of the train:
     from a table by pulse code, on a monitor by the codes of pulses j - 1 and j. A
-    slot whose phase step is nonzero is evaluated alone, by the table's expression."""
+    slot whose phase step is nonzero is evaluated alone, by the table's expression.
+    Only ss[near] may step (default: every slot), next to a resent window."""
     data, monitor = propagate(np.append(stream.table, 0.0), config.params)
     if k == 0:
         return data.take(stream.codes(ss))
@@ -386,7 +407,9 @@ def _intensity(config: OpticsConfig, stream: SymbolStream, k: int,
     v, loss = config.params.v, config.insertion_loss
     out = interferometer_outputs(monitor[:, None], monitor, 0.0, v, loss)[k - 1].take(pair)
     if len(stream.resent):
-        at, dphi = stream.phase_steps(ss)
+        near = np.arange(len(ss)) if near is None else near
+        at, dphi = stream.phase_steps(ss[near])
+        at = near[at]
         left, right = np.divmod(pair[at], len(monitor))
         out[at] = interferometer_outputs(monitor[left], monitor[right], dphi, v, loss)[k - 1]
     return out
@@ -400,22 +423,25 @@ def _run_chain(config: OpticsConfig, stream: SymbolStream, seed: int,
     where width is the detector's slots per frame. Every detector sees at
     least n_slots slots per frame (dark counts only past the light); stages
     are the detectors' Philox stage ids. Candidate slots (see detect) are
-    drawn per class: slots touching a window brighter than Alice's pulses at
-    the bound of the brightest pulse, all others at the bound of sqrt(mu).
-    Only an attacked stream, a single frame, has such windows. The optics are
-    evaluated once per pulse code, not per candidate (_intensity). Deadtime
-    acts on the times frame * frame_period_ns + slot * pulse_period_ns."""
+    drawn per class: slots touching a run of windows brighter than Alice's
+    pulses at the bound of the brightest pulse, all others at the bound of
+    sqrt(mu). Only an attacked stream, a single frame, has such windows. The
+    optics are evaluated once per pulse code (_intensity), and phases only in
+    the bright class if every resent window is bright. Deadtime acts on the
+    times frame * frame_period_ns + slot * pulse_period_ns."""
     params = config.params
     bounds = zip(_click_bounds(config, math.sqrt(stream.mu)),
                  _click_bounds(config, float(stream.table.max())))
-    data, monitor = _boosted_slots(stream)
+    first, last = _bright_runs(stream)
+    every_resent_bright = int(np.sum(last - first)) + len(first) == len(stream.resent)
     clicks = []
     for k, ((p_lo, p_hi), stage) in enumerate(zip(bounds, stages)):
         rng = stage_rng(seed, stage)
         width = max(n_slots, 2 * stream.n_symbols + (k > 0))  # one more monitor slot
-        slots, p_hat = _class_candidates(rng, p_lo, p_hi, n_frames * width,
-                                         monitor if k else data)
-        intensity = _intensity(config, stream, k, slots % width)
+        slots, p_hat, hi_at = _class_candidates(rng, p_lo, p_hi, n_frames * width,
+                                                first, last, 2 + (k > 0))
+        intensity = _intensity(config, stream, k, slots % width,
+                               hi_at if every_resent_bright else None)
         # integer indices: a boolean mask this irregular gathers several times slower
         slots = slots[np.flatnonzero(detect(intensity, p_hat, params.eta, params.p_d,
                                             rng, config.background))]

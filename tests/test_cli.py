@@ -502,6 +502,24 @@ class TestInputValidation:
         assert code == 1 and out == ""
         assert err.startswith("cowsim: error: ") and err.count("\n") == 1
 
+    def test_one_parser_per_process_keeps_no_arguments(self, tmp_path, capsys, monkeypatch):
+        # the parser is built by the first main call, not at import, and kept:
+        # a later call sees neither an earlier --set list nor its flags
+        proc = subprocess.run([sys.executable, "-c", "import cowsim.cli as c; print(c._PARSER)"],
+                              capture_output=True, text=True)
+        assert proc.stdout == "[]\n"
+        monkeypatch.setattr(cowsim.cli, "_PARSER", [])
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert main(["keyrate", "--set", "mu=0.7", "--seed", "5", "--out", str(first)]) == 0
+        assert main(["keyrate", "--out", str(second)]) == 0
+        assert "# mu = 0.7\n" in first.read_text() and "# seed = 5\n" in first.read_text()
+        meta = [line for line in second.read_text().splitlines() if line.startswith("# ")]
+        assert meta[2:] == RunConfig().metadata_lines()  # after the version and command
+        assert main(["keyrate", "--seed"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "cowsim: error: argument --seed: expected one argument\n"
+        assert len(cowsim.cli._PARSER) == 1
+
     def test_version_and_help_exit_0(self):
         assert run_cli("--version") == (0, "cowsim 0.1.0\n", "")
         code, out, err = run_cli("keyrate", "--help")

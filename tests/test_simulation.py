@@ -43,7 +43,9 @@ from cowsim.simulation import (
     _STAGE_SYMBOLS,
     SymbolStream,
     _bernoulli,
-    _boosted_slots,
+    _bright_runs,
+    _candidates,
+    _class_candidates,
     _click_bounds,
     _intensity,
     _run_chain,
@@ -334,6 +336,52 @@ def random_short_attacked_train(seed):
     return cfg, stream
 
 
+def run_slots(first, last, span):
+    """The slots [2 first, 2 last + span) of each run of windows, expanded
+    into one ascending list: span 2 on D_B, 3 on a monitor."""
+    return np.concatenate([np.arange(0), *map(np.arange, 2 * first, 2 * last + span)])
+
+
+def boosted_slots(stream):
+    """The D_B and monitor slots of the stream's bright runs, expanded."""
+    first, last = _bright_runs(stream)
+    return run_slots(first, last, 2), run_slots(first, last, 3)
+
+
+def reference_boosted_slots(windows):
+    """D_B and monitor slots touching the ascending bright windows, listed per
+    window: its two pulse slots, and on a monitor also the boundary slot on
+    either side, which adjacent windows share."""
+    data = (2 * windows[:, None] + np.arange(2)).ravel()
+    monitor = (2 * windows[:, None] + np.arange(3)).ravel()
+    return data, monitor[np.diff(monitor, prepend=-1) > 0]
+
+
+def reference_class_candidates(rng, p_lo, p_hi, n, boosted):
+    """The generic map of candidate ranks over an ascending slot list: the
+    p_lo ranks placed past the boosted slots they skip, the p_hi ranks looked
+    up in the list, and one stable sort of both. Returns the slots, each
+    one's bound, and the indices of those drawn at p_hi."""
+    lo = _candidates(rng, p_lo, n - len(boosted))
+    lo += np.searchsorted(boosted - np.arange(len(boosted)), lo, side="right")
+    slots = np.concatenate((lo, boosted[_candidates(rng, p_hi, len(boosted))]))
+    order = np.argsort(slots, kind="stable")
+    return (slots[order], np.where(order < len(lo), p_lo, p_hi),
+            np.flatnonzero(order >= len(lo)))
+
+
+def reference_candidates(rng, p, n):
+    """Bernoulli(p) slots over n slots from Generator.geometric's gaps, each
+    clipped at n + 1, drawn in chunks of the sampler's size."""
+    size = int(n * p + 5.0 * math.sqrt(n * p)) + 1
+    chunks, last = [], -1
+    while last < n:
+        chunks.append(last + np.cumsum(np.minimum(rng.geometric(p, size), n + 1)))
+        last = int(chunks[-1][-1])
+    pos = np.concatenate(chunks)
+    return pos[pos < n]
+
+
 def framed_preset(**over):
     """The framed D010 preset's optics, with its frame and its gated slots."""
     p = params(mu=0.5, loss_db=5.0, f=0.1, t_b=0.85, eta=0.1, p_d=2.5e-5 * 1.7,
@@ -439,12 +487,26 @@ class TestSparseSampler:
 
     def test_every_slot_of_a_short_attacked_train(self):
         cfg, stream = short_attacked_train()
-        assert _boosted_slots(stream)[1].tolist() == [2, 3, 4, 6, 7, 8, 9, 10]
+        assert boosted_slots(stream)[1].tolist() == [2, 3, 4, 6, 7, 8, 9, 10]
         self.assert_stream_exact(cfg, stream, per_slot=True)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_every_slot_of_random_short_attacked_trains(self, seed):
         self.assert_stream_exact(*random_short_attacked_train(seed), per_slot=True)
+
+    def test_every_slot_where_resent_windows_are_dim(self):
+        # at mu t >= 40 Eve detects every lit pulse (p_det rounds to 1), so her
+        # pair resend is no brighter than sqrt(mu): resent decoys lie in no
+        # bright run, between runs of resent bits, and their phases still count
+        p = params(mu=40.0, t_b=0.5, eta=0.02, p_d=1e-2, v=0.9)
+        kinds = np.array([DECOY, BIT1, DECOY, DECOY, BIT0, DECOY, BIT1, BIT0], dtype=np.int8)
+        attack = AttackConfig(kind=AttackKind.INTERCEPT_RESEND, p_ir=1.0)
+        stream = apply_intercept_resend(SymbolStream(kinds, p.mu), attack, p, stage_rng(1, 2))
+        first, last = _bright_runs(stream)
+        assert first.tolist() == [1, 4, 6] and last.tolist() == [1, 4, 7]
+        assert stream.resent.tolist() == list(range(len(kinds)))
+        self.assert_stream_exact(OpticsConfig(params=p, insertion_loss=0.0), stream,
+                                 per_slot=True)
 
     def test_clean_stream(self):
         cfg = self.stream_config()
@@ -494,8 +556,62 @@ class TestSparseSampler:
                      _click_bounds(cfg, math.sqrt(mu)), _click_bounds(cfg, table.max()))
         for k, (p, p_lo, p_hi) in enumerate(bounds):
             p_hat = np.full(len(p), p_lo)
-            p_hat[_boosted_slots(stream)[k > 0]] = p_hi
+            p_hat[boosted_slots(stream)[k > 0]] = p_hi
             assert np.all(p <= p_hat)
+
+
+class TestBrightRuns:
+    """Bright windows kept as runs give the candidates, bounds and draws of
+    the generic map over the expanded slot list."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(windows=st.lists(st.sampled_from("cdb"), min_size=1, max_size=40),
+           span=st.sampled_from([2, 3]), p_lo=st.floats(1e-3, 1.0),
+           p_hi=st.floats(1e-3, 1.0), seed=st.integers(0, 2 ** 64 - 1))
+    @example(windows=list("b"), span=3, p_lo=0.5, p_hi=1.0, seed=0)
+    @example(windows=list("bbcbbdbb"), span=2, p_lo=0.2, p_hi=0.9, seed=1)
+    @example(windows=list("bbcbbdbb"), span=3, p_lo=0.2, p_hi=0.9, seed=1)
+    @example(windows=list("ccdcc"), span=3, p_lo=0.3, p_hi=0.3, seed=2)
+    def test_runs_map_like_the_slot_list(self, windows, span, p_lo, p_hi, seed):
+        # windows are clean (c), resent no brighter than Alice's pulses (d) or
+        # resent brighter (b): only b windows make runs
+        code = np.array(["cdb".index(w) for w in windows])
+        stream = SymbolStream(np.zeros(len(code), dtype=np.int8), 1.0,
+                              shapes=np.where(code, 2 + code, 0).astype(np.uint8),
+                              table=np.vstack((SymbolStream(np.zeros(1, np.int8), 1.0).table,
+                                               [[1.0, 1.0], [0.0, 1.5]])),
+                              resent=np.flatnonzero(code), phases=np.zeros(np.count_nonzero(code)))
+        first, last = _bright_runs(stream)
+        boosted = reference_boosted_slots(np.flatnonzero(code == 2))[span - 2]
+        assert np.array_equal(run_slots(first, last, span), boosted)
+        n = 2 * len(code) + span - 2
+        runs, generic = stage_rng(seed, 3), stage_rng(seed, 3)
+        slots, p_hat, hi_at = _class_candidates(runs, p_lo, p_hi, n, first, last, span)
+        ref_slots, ref_p_hat, ref_hi_at = reference_class_candidates(generic, p_lo, p_hi, n,
+                                                                     boosted)
+        assert np.array_equal(slots, ref_slots)
+        assert np.array_equal(np.broadcast_to(p_hat, ref_p_hat.shape), ref_p_hat)
+        assert np.array_equal(hi_at, ref_hi_at)
+        assert runs.random() == generic.random()  # the same draws, in the same order
+
+
+class TestCandidates:
+    @pytest.mark.parametrize("n", [1, 1000, 10 ** 7])
+    @pytest.mark.parametrize("p", [5e-324, 1e-9, 2.4e-3, 0.044, 0.123,
+                                   np.nextafter(1 / 3, 0.0), 1 / 3, 0.5, 1.0])
+    def test_gaps_are_generator_geometric(self, p, n):
+        # below 1/3 the gaps invert exponentials as numpy's geometric does; if
+        # numpy changes its algorithm, this fails before the golden hashes
+        rng, reference = stage_rng(5, 3), stage_rng(5, 3)
+        assert np.array_equal(_candidates(rng, p, n), reference_candidates(reference, p, n))
+        assert rng.random() == reference.random()
+
+    def test_gaps_past_2_52_slots(self):
+        # gaps + 2**52 is exact only below 2**52: past it the draw is numpy's
+        rng, reference = stage_rng(5, 3), stage_rng(5, 3)
+        p, n = 1e-16, 2 ** 53  # gaps of 10**16 on average, past 2**52
+        assert np.array_equal(_candidates(rng, p, n), reference_candidates(reference, p, n))
+        assert rng.random() == reference.random()
 
 
 class TestIntensityTables:
@@ -547,6 +663,21 @@ class TestRunSimulation:
             tracemalloc.stop()
         assert len(sim.record.d_b) == len(sim.record.d_m1) == len(sim.record.d_m2) == 0
         assert peak < 2 * n
+
+    def test_attacked_run_at_0db_peak_memory(self):
+        # Eve detects 39 % of the pulses at 0 dB, and 21 % of the windows are
+        # resent brighter than Alice's pulses. The bound lies midway between
+        # the peak with a slot list of the bright windows (51.5 MB) and that
+        # with their runs (33.4 MB): numpy's allocations, so it is deterministic
+        cfg = OpticsConfig(params=params())
+        attack = AttackConfig(kind=AttackKind.INTERCEPT_RESEND, p_ir=0.5)
+        tracemalloc.start()
+        try:
+            run_simulation(cfg, 2_000_000, seed=3, attack=attack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 42.45e6
 
     def test_attacked_stream_keeps_no_per_window_float(self):
         # what an attacked stream holds beyond kinds: a one-byte shape code per
