@@ -7,8 +7,8 @@ counter-based Philox streams keyed by (seed, stage), so every draw layout is a
 fixed function of the pulse train. Each detector draws candidate slots by
 geometric gaps at a bound on its click probability and thins them to the exact
 one, so detection costs O(clicks), not O(slots). A candidate looks its intensity
-up: the optics are evaluated once per pulse code, not per candidate. Only the
-monitors read pulse phases, and only at boundary slots. No intra-slot jitter.
+up: the optics are evaluated once per run and pulse code, not per candidate. Only
+the monitors read pulse phases, and only at boundary slots. No intra-slot jitter.
 
 One optical chain serves both the i.i.d. stream and the framed mode of
 cowsim.experiment: a stream is a single frame, and a framed run repeats one
@@ -72,8 +72,9 @@ class SymbolStream:
     and its table Alice's pulses per kind. Every window is at phase 0 but the
     ascending windows `resent`, which Eve resent at one phase each (`phases`);
     only those may be brighter than Alice's pulses. A clean stream has none.
-    An attack rewrites shapes and table and sets resent and phases only. The
-    chain reads phases only at monitor boundary slots (phase_steps).
+    An attack rewrites shapes, appends rows to the table (Alice's three stay
+    first) and sets resent and phases only. The chain reads phases only at
+    monitor boundary slots (phase_steps).
     """
 
     kinds: np.ndarray
@@ -283,24 +284,11 @@ def detect(intensity: np.ndarray, p_hat: float | np.ndarray, eta: float, p_d: fl
     return rng.random(p.shape) * p_hat < p
 
 
-def _click_bounds(config: OpticsConfig, peak: float) -> tuple:
-    """(D_B, D_M1, D_M2) click probabilities at the brightest slot of a train
-    whose pulses are no brighter than peak: the peak pulse, or two peak pulses
-    in phase."""
-    params = config.params
-    data, monitor = propagate(np.array([peak]), params)
-    pair = interferometer_outputs(monitor, monitor, 0.0, params.v, config.insertion_loss)[0]
-    p = _click_probability(np.concatenate((data, pair)), params.eta, params.p_d,
-                           config.background).tolist()
-    return p[0], p[1], p[1]
-
-
 def _bright_runs(stream: SymbolStream) -> tuple:
-    """(first, last) windows of each run of consecutive windows brighter than
-    Alice's pulses, ascending: only resent windows can be, so only they are
-    read. A run touches D_B slots [2 first, 2 last + 1], monitor slots one more."""
-    bright = stream.table.max(axis=1) > math.sqrt(stream.mu)
-    windows = stream.resent[bright[stream.shapes[stream.resent]]]
+    """(first, last) windows of each run of consecutive resent windows,
+    ascending: only they may be brighter than Alice's pulses or step in phase.
+    A run touches D_B slots [2 first, 2 last + 1], monitor slots one more."""
+    windows = stream.resent
     cut = np.flatnonzero(np.diff(windows) > 1)  # the last windows of all runs but one
     return np.append(windows[:1], windows[cut + 1]), np.append(windows[cut], windows[-1:])
 
@@ -394,24 +382,33 @@ def _wilson(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
     return lo, hi
 
 
-def _intensity(config: OpticsConfig, stream: SymbolStream, k: int,
-               ss: np.ndarray, near: np.ndarray | None = None) -> np.ndarray:
+def _optics(config: OpticsConfig, table: np.ndarray) -> tuple:
+    """A run's per-code tables, the last code no pulse: the D_B intensity of
+    each pulse code, both monitor ports for each ordered code pair in phase,
+    and the monitor-line amplitude."""
+    data, monitor = propagate(np.append(table, 0.0), config.params)
+    ports = interferometer_outputs(monitor[:, None], monitor, 0.0, config.params.v,
+                                   config.insertion_loss)
+    return data, ports, monitor
+
+
+def _intensity(config: OpticsConfig, tables: tuple, stream: SymbolStream, k: int,
+               ss: np.ndarray, near: np.ndarray) -> np.ndarray:
     """Intensity at D_B (k = 0), D_M1 or D_M2 at slots ss of one pass of the train:
-    from a table by pulse code, on a monitor by the codes of pulses j - 1 and j. A
-    slot whose phase step is nonzero is evaluated alone, by the table's expression.
-    Only ss[near] may step (default: every slot), next to a resent window."""
-    data, monitor = propagate(np.append(stream.table, 0.0), config.params)
+    from the tables (_optics) by pulse code, on a monitor by the codes of pulses
+    j - 1 and j. Only ss[near] may step in phase; a slot whose step is nonzero is
+    evaluated alone, by the tables' expression."""
+    data, ports, monitor = tables
     if k == 0:
         return data.take(stream.codes(ss))
     pair = stream.codes(ss - 1) * len(monitor) + stream.codes(ss)
-    v, loss = config.params.v, config.insertion_loss
-    out = interferometer_outputs(monitor[:, None], monitor, 0.0, v, loss)[k - 1].take(pair)
+    out = ports[k - 1].take(pair)
     if len(stream.resent):
-        near = np.arange(len(ss)) if near is None else near
         at, dphi = stream.phase_steps(ss[near])
         at = near[at]
         left, right = np.divmod(pair[at], len(monitor))
-        out[at] = interferometer_outputs(monitor[left], monitor[right], dphi, v, loss)[k - 1]
+        out[at] = interferometer_outputs(monitor[left], monitor[right], dphi,
+                                         config.params.v, config.insertion_loss)[k - 1]
     return out
 
 
@@ -422,26 +419,27 @@ def _run_chain(config: OpticsConfig, stream: SymbolStream, seed: int,
     train, each as one ascending array of absolute slots frame * width + slot,
     where width is the detector's slots per frame. Every detector sees at
     least n_slots slots per frame (dark counts only past the light); stages
-    are the detectors' Philox stage ids. Candidate slots (see detect) are
-    drawn per class: slots touching a run of windows brighter than Alice's
-    pulses at the bound of the brightest pulse, all others at the bound of
-    sqrt(mu). Only an attacked stream, a single frame, has such windows. The
-    optics are evaluated once per pulse code (_intensity), and phases only in
-    the bright class if every resent window is bright. Deadtime acts on the
-    times frame * frame_period_ns + slot * pulse_period_ns."""
+    are the detectors' Philox stage ids. The optics are evaluated once per
+    run, per pulse code (_optics). Candidate slots (see detect) are drawn per
+    class: slots touching a run of resent windows at the bound of the
+    brightest code, all others at the bound of Alice's brightest. Only an
+    attacked stream, a single frame, resends, and only its resent-class
+    candidates look their phase step up. Deadtime acts on the times
+    frame * frame_period_ns + slot * pulse_period_ns."""
     params = config.params
-    bounds = zip(_click_bounds(config, math.sqrt(stream.mu)),
-                 _click_bounds(config, float(stream.table.max())))
+    tables = _optics(config, stream.table)
+    data, ports, _ = tables
+    # bounds at the tables' maxima: over Alice's six codes (they come first), or all
+    peaks = np.array([[data[:6].max(), data.max()], [ports[0][:6, :6].max(), ports[0].max()]])
+    bounds = _click_probability(peaks, params.eta, params.p_d, config.background).tolist()
     first, last = _bright_runs(stream)
-    every_resent_bright = int(np.sum(last - first)) + len(first) == len(stream.resent)
     clicks = []
-    for k, ((p_lo, p_hi), stage) in enumerate(zip(bounds, stages)):
+    for k, stage in enumerate(stages):
         rng = stage_rng(seed, stage)
         width = max(n_slots, 2 * stream.n_symbols + (k > 0))  # one more monitor slot
-        slots, p_hat, hi_at = _class_candidates(rng, p_lo, p_hi, n_frames * width,
+        slots, p_hat, hi_at = _class_candidates(rng, *bounds[k > 0], n_frames * width,
                                                 first, last, 2 + (k > 0))
-        intensity = _intensity(config, stream, k, slots % width,
-                               hi_at if every_resent_bright else None)
+        intensity = _intensity(config, tables, stream, k, slots % width, hi_at)
         # integer indices: a boolean mask this irregular gathers several times slower
         slots = slots[np.flatnonzero(detect(intensity, p_hat, params.eta, params.p_d,
                                             rng, config.background))]

@@ -17,6 +17,9 @@ The cases whose purpose is not in their name:
   interferometric one, I = (1 - r) p_ir / 2 and 1 - V = I, where every other
   attacked case is time-basis COW with 1 - V = I xi. Seed 5 exits 0, although
   that argv aborts on most seeds.
+- simulate_dim_resends pins the draws of an attack at mu t = 20, where Eve's
+  pair resend rounds to sqrt(mu): its resent windows are drawn in the resent
+  class although none is brighter than Alice's pulses. It aborts (exit 2).
 - config_file_flags reads a configuration file together with the dedicated
   flags, which come after it in precedence."""
 
@@ -70,6 +73,11 @@ GOLDEN = {
          "--pns-model", "alt", "--set", "attack=intercept-resend", "--set", "p_ir=0.5",
          "--set", "loss_db=10"], 0,
         {"out.csv": "172c28f6c14c66d0f1712d9f5ddff0c6781c4defc702fed340fb20a64681e789"}),
+    "simulate_dim_resends": (
+        ["simulate", "--set", "n_symbols=4000", "--set", "mu=20",
+         "--set", "attack=intercept-resend", "--set", "p_ir=1", "--set", "eta=0.02",
+         "--set", "t_b=0.5", "--set", "p_d=1e-2", "--seed", "3"], 2,
+        {"out.csv": "d1143f9f5d427e047d95f299964f52cbd9f082a71f138a11637379307d4e3f6e"}),
 }
 
 

@@ -46,8 +46,9 @@ from cowsim.simulation import (
     _bright_runs,
     _candidates,
     _class_candidates,
-    _click_bounds,
+    _click_probability,
     _intensity,
+    _optics,
     _run_chain,
     _suppress_deadtime,
     _wilson,
@@ -299,6 +300,19 @@ def dense_click_probabilities(config, amplitudes, phases, n_slots=0):
             for i in dense_intensities(config, amplitudes, phases, n_slots)]
 
 
+def reference_click_bounds(config, peak):
+    """(D_B, D_M1, D_M2) click probabilities at the brightest slot of a train
+    whose pulses are no brighter than peak: the peak pulse, or two peak pulses
+    in phase. The chain's bounds were this formula at the peak pulse before
+    it read them off its per-code tables."""
+    p = config.params
+    data, monitor = propagate(np.array([peak]), p)
+    pair = interferometer_outputs(monitor, monitor, 0.0, p.v, config.insertion_loss)[0]
+    bounds = _click_probability(np.concatenate((data, pair)), p.eta, p.p_d,
+                                config.background).tolist()
+    return bounds[0], bounds[1], bounds[1]
+
+
 def short_attacked_train():
     """Resends brighter than Alice's pulses, one next to a clean window on
     either side (monitor slots 4 and 6 touch them only at a boundary)."""
@@ -494,16 +508,19 @@ class TestSparseSampler:
     def test_every_slot_of_random_short_attacked_trains(self, seed):
         self.assert_stream_exact(*random_short_attacked_train(seed), per_slot=True)
 
-    def test_every_slot_where_resent_windows_are_dim(self):
-        # at mu t >= 40 Eve detects every lit pulse (p_det rounds to 1), so her
-        # pair resend is no brighter than sqrt(mu): resent decoys lie in no
-        # bright run, between runs of resent bits, and their phases still count
-        p = params(mu=40.0, t_b=0.5, eta=0.02, p_d=1e-2, v=0.9)
+    @pytest.mark.parametrize("mu", [20.0, 40.0])
+    def test_every_slot_where_resent_windows_are_dim(self, mu):
+        # from mu t of about 18 the boost 1 / (p_det (2 - p_det)) is 1 to within
+        # rounding, and at 20 and 40 Eve's pair resend rounds to sqrt(mu); at 40
+        # p_det itself rounds to 1, at 20 it does not. Dim resent windows still
+        # step in phase, so they lie in the runs like the bright ones
+        p = params(mu=mu, t_b=0.5, eta=0.02, p_d=1e-2, v=0.9)
         kinds = np.array([DECOY, BIT1, DECOY, DECOY, BIT0, DECOY, BIT1, BIT0], dtype=np.int8)
         attack = AttackConfig(kind=AttackKind.INTERCEPT_RESEND, p_ir=1.0)
         stream = apply_intercept_resend(SymbolStream(kinds, p.mu), attack, p, stage_rng(1, 2))
+        assert stream.table[4].tolist() == [math.sqrt(mu)] * 2  # Eve's pair row
         first, last = _bright_runs(stream)
-        assert first.tolist() == [1, 4, 6] and last.tolist() == [1, 4, 7]
+        assert first.tolist() == [0] and last.tolist() == [len(kinds) - 1]
         assert stream.resent.tolist() == list(range(len(kinds)))
         self.assert_stream_exact(OpticsConfig(params=p, insertion_loss=0.0), stream,
                                  per_slot=True)
@@ -553,15 +570,55 @@ class TestSparseSampler:
         cfg = OpticsConfig(params=params(loss_db=loss_db, t_b=t_b, eta=eta, p_d=p_d, v=v),
                            insertion_loss=il, background=bg)
         bounds = zip(dense_click_probabilities(cfg, *dense_train(stream)),
-                     _click_bounds(cfg, math.sqrt(mu)), _click_bounds(cfg, table.max()))
+                     reference_click_bounds(cfg, math.sqrt(mu)),
+                     reference_click_bounds(cfg, table.max()))
         for k, (p, p_lo, p_hi) in enumerate(bounds):
             p_hat = np.full(len(p), p_lo)
             p_hat[boosted_slots(stream)[k > 0]] = p_hi
             assert np.all(p <= p_hat)
 
 
+class TestClickBounds:
+    """The chain reads each detector's bounds off its per-code tables, and
+    evaluates the optics once per run."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 10.0)),
+                                  min_size=2, max_size=2), max_size=4),
+           mu=st.floats(0.0, 50.0), loss_db=st.floats(0.0, 60.0), t_b=st.floats(0.01, 1.0),
+           eta=st.floats(0.0, 1.0), p_d=st.floats(0.0, 0.1), v=st.floats(0.0, 1.0),
+           il=st.floats(0.0, 0.99), bg=st.floats(0.0, 0.1))
+    @example(rows=[[0.0, 0.0]] * 4, mu=0.0, loss_db=0.0, t_b=1.0, eta=1.0, p_d=0.0, v=1.0,
+             il=0.0, bg=0.0)
+    @example(rows=[], mu=50.0, loss_db=0.0, t_b=0.5, eta=1.0, p_d=0.1, v=1.0, il=0.0, bg=0.1)
+    def test_bounds_are_the_peak_formula(self, rows, mu, loss_db, t_b, eta, p_d, v, il, bg):
+        # up to four extra rows, zero rows included, beside Alice's three
+        kinds = np.array([DECOY, BIT0, BIT1], dtype=np.int8)
+        table = np.vstack((SymbolStream(kinds, mu).table, np.reshape(rows, (-1, 2))))
+        stream = SymbolStream(kinds, mu, shapes=kinds.astype(np.uint8), table=table)
+        cfg = OpticsConfig(params=params(mu, loss_db=loss_db, t_b=t_b, eta=eta, p_d=p_d, v=v),
+                           insertion_loss=il, background=bg)
+        with mock.patch.object(simulation, "_class_candidates",
+                               wraps=_class_candidates) as spy:
+            _run_chain(cfg, stream, 0, (3, 4, 5))
+        drawn = [c.args[1:3] for c in spy.call_args_list]
+        expected = zip(reference_click_bounds(cfg, math.sqrt(mu)),
+                       reference_click_bounds(cfg, table.max()))
+        for k, (p_lo, p_hi) in enumerate(expected):
+            assert drawn[k] == (p_lo, p_hi), k  # == on floats: bit for bit
+
+    def test_one_run_evaluates_the_optics_once(self):
+        attack = AttackConfig(kind=AttackKind.INTERCEPT_RESEND, p_ir=0.5)
+        with mock.patch.object(simulation, "propagate", wraps=propagate) as spy:
+            run_simulation(OpticsConfig(params=params()), 2000, seed=1, attack=attack)
+            assert spy.call_count == 1
+            spy.reset_mock()
+            run_experiment(framed_preset(n_frames=100)[0], seed=1)
+            assert spy.call_count == 1
+
+
 class TestBrightRuns:
-    """Bright windows kept as runs give the candidates, bounds and draws of
+    """Resent windows kept as runs give the candidates, bounds and draws of
     the generic map over the expanded slot list."""
 
     @settings(max_examples=300, deadline=None)
@@ -574,7 +631,7 @@ class TestBrightRuns:
     @example(windows=list("ccdcc"), span=3, p_lo=0.3, p_hi=0.3, seed=2)
     def test_runs_map_like_the_slot_list(self, windows, span, p_lo, p_hi, seed):
         # windows are clean (c), resent no brighter than Alice's pulses (d) or
-        # resent brighter (b): only b windows make runs
+        # resent brighter (b): every resent window, d or b, is in a run
         code = np.array(["cdb".index(w) for w in windows])
         stream = SymbolStream(np.zeros(len(code), dtype=np.int8), 1.0,
                               shapes=np.where(code, 2 + code, 0).astype(np.uint8),
@@ -582,7 +639,7 @@ class TestBrightRuns:
                                                [[1.0, 1.0], [0.0, 1.5]])),
                               resent=np.flatnonzero(code), phases=np.zeros(np.count_nonzero(code)))
         first, last = _bright_runs(stream)
-        boosted = reference_boosted_slots(np.flatnonzero(code == 2))[span - 2]
+        boosted = reference_boosted_slots(np.flatnonzero(code >= 1))[span - 2]
         assert np.array_equal(run_slots(first, last, span), boosted)
         n = 2 * len(code) + span - 2
         runs, generic = stage_rng(seed, 3), stage_rng(seed, 3)
@@ -619,8 +676,10 @@ class TestIntensityTables:
     optics evaluated over the whole train, bit for bit."""
 
     def assert_exact(self, cfg, stream, n_slots=0):
+        tables = _optics(cfg, stream.table)
         for k, dense in enumerate(dense_intensities(cfg, *dense_train(stream), n_slots)):
-            assert np.array_equal(_intensity(cfg, stream, k, np.arange(len(dense))), dense), k
+            every = np.arange(len(dense))
+            assert np.array_equal(_intensity(cfg, tables, stream, k, every, every), dense), k
 
     def test_short_attacked_train(self):
         self.assert_exact(*short_attacked_train())
