@@ -20,8 +20,8 @@ from .simulation import (
     OpticsConfig,
     QberEstimate,
     SymbolStream,
+    _frame_chain,
     _monitoring_tally,
-    _run_chain,
     estimate_qber,
 )
 
@@ -87,21 +87,25 @@ def run_experiment(config: ExperimentConfig, seed: int) -> ExperimentResult:
                          config.params.mu)
     n_pulses = 2 * frame.n_symbols
     n_slots = max(int(config.gate_ns // tau) + 1, n_pulses + 1)
-    record = DetectionRecord(*_run_chain(config, frame, seed, _STAGES, config.n_frames,
-                                         n_slots, config.frame_period_ns))
+    record = DetectionRecord(*_frame_chain(config, frame, seed, _STAGES, config.n_frames,
+                                           n_slots, config.frame_period_ns))
     slots = dict(zip(DETECTORS, (record.d_b, record.d_m1, record.d_m2)))
+    # each click's frame and slot, read once: an int64 % costs several floor divides
+    ff = {name: g // n_slots for name, g in slots.items()}
+    ss = {name: g - ff[name] * n_slots for name, g in slots.items()}
 
-    counts = {name: np.bincount(g % n_slots, minlength=n_slots) for name, g in slots.items()}
+    counts = {name: np.bincount(s, minlength=n_slots) for name, s in ss.items()}
     duration_s = config.n_frames * config.frame_period_ns * 1e-9
     rate_hz = {name: len(g) / duration_s for name, g in slots.items()}
 
-    ff, ss = np.divmod(record.d_b, n_slots)
-    in_train = ss < n_pulses  # later gated slots hold dark counts only
+    in_train = ss["D_B"] < n_pulses  # later gated slots hold dark counts only
     # sifted like a stream: pulse s of frame f is pulse f * n_pulses + s
-    key = sift(frame, (ff * n_pulses + ss)[in_train])
+    key = sift(frame, (ff["D_B"] * n_pulses + ss["D_B"])[in_train])
     qber = estimate_qber(key.alice_bits, key.bob_bits)
+    slot_times_ns = np.arange(n_slots, dtype=float)
+    slot_times_ns *= tau  # in place: no int64 temporary per slot beside the histograms
     return ExperimentResult(
-        slot_times_ns=np.arange(n_slots) * tau, record=record,
+        slot_times_ns=slot_times_ns, record=record,
         counts=counts, rate_hz=rate_hz,
         raw_rate_hz=sum(rate_hz.values()), qber=qber,
-        stats=_monitoring_tally(frame.kinds, record.d_m1 % n_slots, record.d_m2 % n_slots))
+        stats=_monitoring_tally(frame.kinds, ss["D_M1"], ss["D_M2"]))

@@ -65,6 +65,7 @@ class OptimizeResult:
     mu_star: float
     keyrate: KeyRateResult
     all_zero: bool = False
+    at_edge: bool = False  # mu* is mu_min or mu_max: a wider range may do better
 
 
 @dataclass(frozen=True)
@@ -149,7 +150,8 @@ def optimize_mu(params: ProtocolParams, protocol: Protocol = Protocol.COW,
     batch of one of _optimize, with the full breakdown at mu*."""
     (mu_star,), _, (all_zero,) = _optimize([params], protocol, model, spec, mode)
     result = secret_key_rate(replace(params, mu=mu_star), protocol, model, mode)
-    return OptimizeResult(mu_star=mu_star, keyrate=result, all_zero=all_zero)
+    return OptimizeResult(mu_star=mu_star, keyrate=result, all_zero=all_zero,
+                          at_edge=mu_star in (spec.mu_min, spec.mu_max))
 
 
 def sweep_loss(params_template: ProtocolParams, protocols: Sequence[Protocol],

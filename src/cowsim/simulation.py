@@ -10,10 +10,11 @@ one, so detection costs O(clicks), not O(slots). A candidate looks its intensity
 up: the optics are evaluated once per run and pulse code, not per candidate. Only
 the monitors read pulse phases, and only at boundary slots. No intra-slot jitter.
 
-One optical chain serves both the i.i.d. stream and the framed mode of
-cowsim.experiment: a stream is a single frame, and a framed run repeats one
-short frame many times. The chain's click slots feed the one monitoring tally
-and the one QBER estimator here, and the one sift of cowsim.protocol.
+The chain here samples an i.i.d. stream. The framed mode of cowsim.experiment
+repeats one short frame, so it draws each slot class of the frame exactly from
+the same per-code tables, without candidates. Both modes' click slots feed the
+one monitoring tally and the one QBER estimator here, and the one sift of
+cowsim.protocol.
 """
 
 from __future__ import annotations
@@ -413,19 +414,14 @@ def _intensity(config: OpticsConfig, tables: tuple, stream: SymbolStream, k: int
 
 
 def _run_chain(config: OpticsConfig, stream: SymbolStream, seed: int,
-              stages: tuple[int, int, int], n_frames: int = 1, n_slots: int = 0,
-              frame_period_ns: float = 0.0) -> list:
-    """Clicks of D_B, D_M1 and D_M2 over n_frames repetitions of the pulse
-    train, each as one ascending array of absolute slots frame * width + slot,
-    where width is the detector's slots per frame. Every detector sees at
-    least n_slots slots per frame (dark counts only past the light); stages
-    are the detectors' Philox stage ids. The optics are evaluated once per
-    run, per pulse code (_optics). Candidate slots (see detect) are drawn per
-    class: slots touching a run of resent windows at the bound of the
-    brightest code, all others at the bound of Alice's brightest. Only an
-    attacked stream, a single frame, resends, and only its resent-class
-    candidates look their phase step up. Deadtime acts on the times
-    frame * frame_period_ns + slot * pulse_period_ns."""
+              stages: tuple[int, int, int]) -> list:
+    """Clicks of D_B, D_M1 and D_M2 over the stream, each as one ascending
+    array of slots; stages are the detectors' Philox stage ids. The optics are
+    evaluated once per run, per pulse code (_optics). Candidate slots (see
+    detect) are drawn per class: slots touching a run of resent windows at the
+    bound of the brightest code, all others at the bound of Alice's brightest.
+    Only an attacked stream resends, and only its resent-class candidates look
+    their phase step up. Deadtime acts on the times slot * pulse_period_ns."""
     params = config.params
     tables = _optics(config, stream.table)
     data, ports, _ = tables
@@ -436,16 +432,52 @@ def _run_chain(config: OpticsConfig, stream: SymbolStream, seed: int,
     clicks = []
     for k, stage in enumerate(stages):
         rng = stage_rng(seed, stage)
-        width = max(n_slots, 2 * stream.n_symbols + (k > 0))  # one more monitor slot
-        slots, p_hat, hi_at = _class_candidates(rng, *bounds[k > 0], n_frames * width,
+        n_slots = 2 * stream.n_symbols + (k > 0)  # one more monitor slot
+        slots, p_hat, hi_at = _class_candidates(rng, *bounds[k > 0], n_slots,
                                                 first, last, 2 + (k > 0))
-        intensity = _intensity(config, tables, stream, k, slots % width, hi_at)
+        intensity = _intensity(config, tables, stream, k, slots, hi_at)
         # integer indices: a boolean mask this irregular gathers several times slower
         slots = slots[np.flatnonzero(detect(intensity, p_hat, params.eta, params.p_d,
                                             rng, config.background))]
         if config.deadtime_ns > 0.0:
-            ff, ss = np.divmod(slots, width)
-            times = ff * frame_period_ns + ss * params.pulse_period_ns
+            keep = _suppress_deadtime(slots * params.pulse_period_ns, config.deadtime_ns)
+            slots = slots[np.flatnonzero(keep)]
+        clicks.append(slots)
+    return clicks
+
+
+def _frame_chain(config: OpticsConfig, frame: SymbolStream, seed: int,
+                 stages: tuple[int, int, int], n_frames: int, n_slots: int,
+                 frame_period_ns: float) -> list:
+    """_run_chain's clicks over n_frames repetitions of the frame, at absolute
+    slots frame * n_slots + slot, drawn exactly: one frame's lit slots of equal
+    click probability p form a class of m slots, in ascending p, drawn as one
+    Bernoulli(p) process over n_frames * m slots whose rank r is member r % m of
+    frame r // m. The slots past the light are one dark class, drawn last and
+    mapped without a slot list. Deadtime acts on the times
+    frame * frame_period_ns + slot * pulse_period_ns."""
+    params = config.params
+    tables = _optics(config, frame.table)
+    clicks = []
+    for k, stage in enumerate(stages):
+        rng = stage_rng(seed, stage)
+        lit = np.arange(2 * frame.n_symbols + (k > 0))  # one more monitor slot
+        p = _click_probability(_intensity(config, tables, frame, k, lit, lit[:0]),
+                               params.eta, params.p_d, config.background)
+        parts = []
+        for value in sorted(set(p.tolist())):  # the classes, in ascending p
+            members = lit[p == value]
+            r = _candidates(rng, value, n_frames * len(members))
+            ff = r // len(members)
+            parts.append(ff * n_slots + members.take(r - ff * len(members)))
+        dark = n_slots - len(lit)  # rank f * dark + s is slot len(lit) + s of frame f
+        r = _candidates(rng, _click_probability(0.0, params.eta, params.p_d, config.background),
+                        n_frames * dark)
+        parts.append(r + (r // max(dark, 1) + 1) * len(lit))
+        slots = np.sort(np.concatenate(parts), kind="stable")  # merges the ascending parts
+        if config.deadtime_ns > 0.0:
+            ff = slots // n_slots
+            times = ff * frame_period_ns + (slots - ff * n_slots) * params.pulse_period_ns
             slots = slots[np.flatnonzero(_suppress_deadtime(times, config.deadtime_ns))]
         clicks.append(slots)
     return clicks

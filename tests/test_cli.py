@@ -291,6 +291,25 @@ class TestSimulateCommand:
         assert row["abort_reason"] == "no-decoy-statistics"
         assert row["v_10"] == "1" and row["v_d"] == "nan"
 
+    @pytest.mark.parametrize("settings_, seed, code, nan_columns", [
+        # t_b = 1e-9 leaves D_B dark while both monitor classes are measured:
+        # nothing is sifted, yet the run does not abort
+        (["n_symbols=5000", "t_b=1e-9", "mu=1", "eta=1", "p_d=0"], 1, 0,
+         ["qber", "qber_lo", "qber_hi"]),
+        (["n_symbols=3"], 12345, 2, ["qber", "qber_lo", "qber_hi", "v_10", "v_d"]),
+        (["f=0", "n_symbols=20000"], 5, 2, ["v_d"]),
+    ])
+    def test_nan_columns(self, settings_, seed, code, nan_columns):
+        # the QBER columns read nan exactly when n_sifted is 0, and a
+        # visibility when its class has no clicks, which aborts the run
+        args = [a for kv in settings_ for a in ("--set", kv)]
+        exit_code, out, _ = run_cli("simulate", *args, "--seed", str(seed))
+        header, rows = table(out)
+        row = dict(zip(header, rows[0]))
+        assert exit_code == code and row["abort"] == ("true" if code else "false")
+        assert [c for c in header if row[c] == "nan"] == nan_columns
+        assert (row["qber"] == "nan") == (row["n_sifted"] == "0")
+
     def test_gate_is_not_read(self):
         # only the framed mode gates its detectors, so only experiment checks gate_ns
         code, out, err = run_cli("simulate", "--set", "n_symbols=20000", "--seed", "3",

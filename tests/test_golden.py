@@ -21,13 +21,25 @@ The cases whose purpose is not in their name:
   pair resend rounds to sqrt(mu): its resent windows are drawn in the resent
   class although none is brighter than Alice's pulses. It aborts (exit 2).
 - config_file_flags reads a configuration file together with the dedicated
-  flags, which come after it in precedence."""
+  flags, which come after it in precedence.
 
+Run as a script, `python tests/test_golden.py` prints every case's current
+exit code and digests, marking those that moved, so that a deliberate layout
+change regenerates the table with one command."""
+
+import contextlib
 import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 
-from cowsim.cli import main
+if __name__ == "__main__":  # as a script: cowsim from this checkout's src/
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from cowsim.cli import main  # noqa: E402
 
 CONFIG_FILE = "n_symbols = 20000  # short run\np_d = 1e-4\nv = 0.95\n"
 
@@ -44,7 +56,7 @@ GOLDEN = {
         {"out.csv": "6b627804151437823735de6cb73074c7fbe53ec2079218f873e2a197b2532be5"}),
     "experiment": (
         ["experiment", "--set", "n_frames=50000", "--seed", "7"], 0,
-        {"out.csv": "e7f241e724f6d7439d5ea6fa6f30c0176cfbcb1ee64e3de6d3ed4296a75e73b2"}),
+        {"out.csv": "7500d909ca0a4a758403579475b1969c931d27b3a56ae1335b2dfefa87c260dd"}),
     "simulate_dump_events": (
         ["simulate", "--set", "n_symbols=40000", "--seed", "3",
          "--set", "attack=intercept-resend", "--set", "p_ir=1.0",
@@ -60,7 +72,7 @@ GOLDEN = {
     "experiment_no_deadtime": (
         ["experiment", "--set", "n_frames=30000", "--seed", "8",
          "--set", "deadtime_ns=0"], 0,
-        {"out.csv": "42aea3b84ed70cd725d48adfbf90bfe93ff41ceb297f6687eeb4dd026c6f16e2"}),
+        {"out.csv": "29f9b3c57b84d68c6802e9d01b23d1477c065048a8f9276335fa549fbc9c44ca"}),
     "config_file_flags": (
         ["simulate", "--config", "{tmp}/run.cfg", "--seed", "11",
          "--protocol", "bb84-decoy", "--pns-model", "alt"], 0,
@@ -96,3 +108,12 @@ def test_golden_output(name, tmp_path):
     code, digests = run_case(name, tmp_path)
     assert code == expected_code
     assert digests == expected
+
+
+if __name__ == "__main__":
+    for name, (_, expected_code, expected) in GOLDEN.items():
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+            code, digests = run_case(name, Path(tmp))
+        print(f"{name}: exit {code}" + ("" if code == expected_code else " (moved)"))
+        for f, digest in digests.items():
+            print(f"    {f}: {digest}" + ("" if digest == expected[f] else " (moved)"))

@@ -114,6 +114,18 @@ class TestOptimizeMu:
         assert res.mu_star == OptimizationSpec().mu_min
         assert res.keyrate.r_sk == 0.0
 
+    def test_at_edge(self):
+        # mu* on mu_min or mu_max, the all-zero optimum included, and nowhere else
+        clamped = ProtocolParams(mu=0.5, loss_db=-10.0 * math.log10(0.9), f=0.1, t_b=1.0,
+                                 eta=0.1, p_d=0.0, v=1.0)
+        cases = [(params(loss_db=7.0, v=0.9), Protocol.COW, False),
+                 (clamped, Protocol.BB84_PLAIN, True),
+                 (params(eta=0.0, p_d=0.0), Protocol.COW, True)]
+        for p, protocol, edge in cases:
+            res = optimize_mu(p, protocol, PnsModel.DETECTABLE_AS_PRINTED)
+            spec = OptimizationSpec()
+            assert res.at_edge == edge == (res.mu_star in (spec.mu_min, spec.mu_max))
+
     def test_deterministic(self):
         a = optimize_mu(params(loss_db=7.0, v=0.9), Protocol.COW, PnsModel.DETECTABLE_AS_PRINTED)
         b = optimize_mu(params(loss_db=7.0, v=0.9), Protocol.COW, PnsModel.DETECTABLE_AS_PRINTED)

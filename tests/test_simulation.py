@@ -578,6 +578,45 @@ class TestSparseSampler:
             assert np.all(p <= p_hat)
 
 
+class TestFrameChain:
+    """A framed run draws each slot class of its frame exactly, and the gated
+    slots past the light as one dark class without a slot list."""
+
+    @pytest.mark.parametrize("gate_ns, frame_period_ns, n_frames", [
+        (5.0, 1e9 / 600e3, 100000),  # 9 slots: no dark slot on a monitor
+        (2.5e6, 3e6, 50),  # over 10**6 gated slots, almost all dark
+    ])
+    def test_every_class_at_any_gate(self, gate_ns, frame_period_ns, n_frames):
+        cfg, frame, _ = framed_preset(gate_ns=gate_ns, frame_period_ns=frame_period_ns,
+                                      n_frames=n_frames, deadtime_ns=0.0)
+        result = run_experiment(cfg, seed=2)
+        n_slots = len(result.slot_times_ns)
+        dense = dense_click_probabilities(cfg, *dense_train(frame), n_slots)
+        for name, p_slot in zip(("D_B", "D_M1", "D_M2"), dense):
+            assert len(p_slot) == n_slots
+            assert_counts_match(result.counts[name], p_slot, cfg.n_frames)
+
+    def test_long_gate_costs_its_clicks_not_its_slots(self):
+        # 100 frames of 1,085,001 gated slots. A candidate draw at the bright
+        # bound would take about 1.45 M candidates per detector, 11.6 MB for
+        # their int64 slots alone; the dark class holds about 4.6 k clicks
+        cfg, _, _ = framed_preset(frame_period_ns=3e6, gate_ns=2.5e6, n_frames=100)
+        tracemalloc.start()
+        try:
+            result = run_experiment(cfg, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_slots = len(result.slot_times_ns)
+        assert n_slots > 10 ** 6
+        # the result's own slot arrays: three int64 histograms and the slot times
+        own = result.slot_times_ns.nbytes + sum(c.nbytes for c in result.counts.values())
+        assert own == 32 * n_slots
+        # beyond them, a few arrays of 8 B per click: about 0.4 MB here, where
+        # a candidate draw peaks 13 MB above them
+        assert peak - own < 2 * 2 ** 20
+
+
 class TestClickBounds:
     """The chain reads each detector's bounds off its per-code tables, and
     evaluates the optics once per run."""
