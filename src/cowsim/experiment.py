@@ -87,25 +87,23 @@ def run_experiment(config: ExperimentConfig, seed: int) -> ExperimentResult:
                          config.params.mu)
     n_pulses = 2 * frame.n_symbols
     n_slots = max(int(config.gate_ns // tau) + 1, n_pulses + 1)
-    record = DetectionRecord(*_frame_chain(config, frame, seed, _STAGES, config.n_frames,
-                                           n_slots, config.frame_period_ns))
-    slots = dict(zip(DETECTORS, (record.d_b, record.d_m1, record.d_m2)))
-    # each click's frame and slot, read once: an int64 % costs several floor divides
-    ff = {name: g // n_slots for name, g in slots.items()}
-    ss = {name: g - ff[name] * n_slots for name, g in slots.items()}
+    clicks = dict(zip(DETECTORS, _frame_chain(config, frame, seed, _STAGES, config.n_frames,
+                                              n_slots, config.frame_period_ns)))
+    ss = {name: s for name, (_, _, s) in clicks.items()}
 
     counts = {name: np.bincount(s, minlength=n_slots) for name, s in ss.items()}
     duration_s = config.n_frames * config.frame_period_ns * 1e-9
-    rate_hz = {name: len(g) / duration_s for name, g in slots.items()}
+    rate_hz = {name: len(s) / duration_s for name, s in ss.items()}
 
-    in_train = ss["D_B"] < n_pulses  # later gated slots hold dark counts only
+    _, ff, s = clicks["D_B"]
+    in_train = s < n_pulses  # later gated slots hold dark counts only
     # sifted like a stream: pulse s of frame f is pulse f * n_pulses + s
-    key = sift(frame, (ff["D_B"] * n_pulses + ss["D_B"])[in_train])
+    key = sift(frame, (ff * n_pulses + s)[in_train])
     qber = estimate_qber(key.alice_bits, key.bob_bits)
     slot_times_ns = np.arange(n_slots, dtype=float)
     slot_times_ns *= tau  # in place: no int64 temporary per slot beside the histograms
     return ExperimentResult(
-        slot_times_ns=slot_times_ns, record=record,
+        slot_times_ns=slot_times_ns, record=DetectionRecord(*(g for g, _, _ in clicks.values())),
         counts=counts, rate_hz=rate_hz,
         raw_rate_hz=sum(rate_hz.values()), qber=qber,
         stats=_monitoring_tally(frame.kinds, ss["D_M1"], ss["D_M2"]))

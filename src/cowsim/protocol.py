@@ -133,14 +133,13 @@ def sift(stream: SymbolStream, d_b: np.ndarray) -> SiftedKeyPair:
     symbol k mod n_symbols of the stream, so a framed run repeats its frame's
     kinds."""
     seq, first, last = _runs(d_b)
-    lone = first & last  # a symbol clicked once
-    kept, bob_bits = seq[lone], d_b[lone] & 1
-    kinds = stream.kinds[kept % stream.n_symbols]
+    n = stream.n_symbols  # k - k // n * n below: an int64 % costs several floor divides
+    kinds = stream.kinds.take(seq - seq // n * n if len(seq) and seq[-1] >= n else seq)
     # integer indices: a boolean mask this irregular gathers several times slower
-    bit = np.flatnonzero(kinds != DECOY)
-    return SiftedKeyPair(alice_bits=(kinds[bit] == BIT1).astype(np.int8),
-                         bob_bits=bob_bits[bit].astype(np.int8),
-                         kept_indices=kept[bit])
+    at = np.flatnonzero(first & last & (kinds != DECOY))  # a bit symbol clicked once
+    return SiftedKeyPair(alice_bits=(kinds.take(at) == BIT1).view(np.int8),
+                         bob_bits=(d_b.take(at) & 1).astype(np.int8),
+                         kept_indices=seq.take(at))
 
 
 def estimate_parameters(stats: MonitoringStats, params: ProtocolParams,

@@ -355,19 +355,28 @@ def _suppress_deadtime(times: np.ndarray, deadtime: float) -> np.ndarray:
     the one before it heads a run and is always kept. From a kept click at t the
     next is the first j with times[j] - t >= deadtime: all runs jump at once."""
     times = np.append(times, math.inf)  # a head past the last click ends every run
-    keep = np.diff(times, prepend=-math.inf) >= deadtime
+    keep = np.ones(len(times), dtype=bool)
+    np.greater_equal(times[1:] - times[:-1], deadtime, out=keep[1:])
     at = np.flatnonzero(keep[:-1] > keep[1:])  # heads followed by a close click
-    while len(at):
-        t = times[at]
-        j = np.searchsorted(times, t + deadtime)
-        # t + deadtime rounds: step j to the first click that the loop's test keeps
-        while (up := times[j] - t < deadtime).any():
-            j += up
-        while (down := times[j - 1] - t >= deadtime).any():
-            j -= down
-        at = j[~keep[j]]  # a jump onto a head ends its run
+    # so a head's first jump tries the click after next; later jumps can land anywhere
+    j = at + 2
+    near = np.flatnonzero(times[j] - times[at] < deadtime)
+    j[near] = _next_kept(times, times[at[near]], deadtime)
+    while len(at := j[~keep[j]]):  # a jump onto a head ends its run
         keep[at] = True
+        j = _next_kept(times, times[at], deadtime)
     return keep[:-1]
+
+
+def _next_kept(times: np.ndarray, t: np.ndarray, deadtime: float) -> np.ndarray:
+    """The first j with times[j] - t >= deadtime for each t; times end past them."""
+    j = np.searchsorted(times, t + deadtime)
+    # t + deadtime rounds: step j to the first click that the loop's test keeps
+    while (up := times[j] - t < deadtime).any():
+        j += up
+    while (down := times[j - 1] - t >= deadtime).any():
+        j -= down
+    return j
 
 
 def _wilson(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -449,13 +458,13 @@ def _run_chain(config: OpticsConfig, stream: SymbolStream, seed: int,
 def _frame_chain(config: OpticsConfig, frame: SymbolStream, seed: int,
                  stages: tuple[int, int, int], n_frames: int, n_slots: int,
                  frame_period_ns: float) -> list:
-    """_run_chain's clicks over n_frames repetitions of the frame, at absolute
-    slots frame * n_slots + slot, drawn exactly: one frame's lit slots of equal
-    click probability p form a class of m slots, in ascending p, drawn as one
-    Bernoulli(p) process over n_frames * m slots whose rank r is member r % m of
-    frame r // m. The slots past the light are one dark class, drawn last and
-    mapped without a slot list. Deadtime acts on the times
-    frame * frame_period_ns + slot * pulse_period_ns."""
+    """_run_chain's clicks over n_frames repetitions of the frame, each as (slots,
+    frames, slots within the frame) of absolute slots frame * n_slots + slot, drawn
+    exactly: one frame's lit slots of equal click probability p form a class of m
+    slots, in ascending p, drawn as one Bernoulli(p) process over n_frames * m slots
+    whose rank r is member r % m of frame r // m. The slots past the light are one
+    dark class, drawn last and mapped without a slot list. Deadtime acts on the
+    times frame * frame_period_ns + slot * pulse_period_ns."""
     params = config.params
     tables = _optics(config, frame.table)
     clicks = []
@@ -469,17 +478,24 @@ def _frame_chain(config: OpticsConfig, frame: SymbolStream, seed: int,
             members = lit[p == value]
             r = _candidates(rng, value, n_frames * len(members))
             ff = r // len(members)
-            parts.append(ff * n_slots + members.take(r - ff * len(members)))
+            r -= ff * len(members)  # in place: the ranks are this loop's own
+            ff *= n_slots
+            parts.append(np.add(ff, members.take(r), out=ff))
         dark = n_slots - len(lit)  # rank f * dark + s is slot len(lit) + s of frame f
         r = _candidates(rng, _click_probability(0.0, params.eta, params.p_d, config.background),
                         n_frames * dark)
         parts.append(r + (r // max(dark, 1) + 1) * len(lit))
         slots = np.sort(np.concatenate(parts), kind="stable")  # merges the ascending parts
+        del parts, ff  # held through the steps below, they would fragment the heap
         if config.deadtime_ns > 0.0:
             ff = slots // n_slots
-            times = ff * frame_period_ns + (slots - ff * n_slots) * params.pulse_period_ns
-            slots = slots[np.flatnonzero(_suppress_deadtime(times, config.deadtime_ns))]
-        clicks.append(slots)
+            times = ff * frame_period_ns
+            ff *= n_slots  # in place, to each click's slot within its frame
+            times += np.subtract(slots, ff, out=ff) * params.pulse_period_ns
+            del ff
+            slots = slots.take(np.flatnonzero(_suppress_deadtime(times, config.deadtime_ns)))
+        ff = slots // n_slots  # the kept clicks' split: an int64 % costs more
+        clicks.append((slots, ff, slots - ff * n_slots))
     return clicks
 
 
@@ -540,9 +556,10 @@ def simulate_stream(config: OpticsConfig, stream: SymbolStream, seed: int) -> Si
     empirical_r = n_signal / n_bits if n_bits else 0.0
     # per non-empty pulse: with insertion loss L this converges to
     # (1-L) mu t (1-t_B) eta, i.e. half the lossless rate at the default L=0.5
-    # one row at a time: a bincount would cast the 1-byte codes to intp
-    n_nonempty = sum(np.count_nonzero(stream.shapes == c) * np.count_nonzero(row)
-                     for c, row in enumerate(stream.table > 0.0) if row.any())
+    # one pass per table row of other than one pulse (a bincount casts codes to intp)
+    pulses = np.count_nonzero(stream.table > 0.0, axis=1).tolist()
+    n_nonempty = stream.n_symbols + sum((m - 1) * np.count_nonzero(stream.shapes == c)
+                                        for c, m in enumerate(pulses) if m != 1)
     monitoring_rate = (len(d_m1) + len(d_m2)) / n_nonempty if n_nonempty else 0.0
     return SimResult(stream=stream, record=DetectionRecord(d_b, d_m1, d_m2), stats=stats,
                      n_bits=n_bits, empirical_r=empirical_r,

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cowsim import (
@@ -131,6 +131,39 @@ class TestSift:
         ref = self.dense_sift(stream_of(kinds * n_frames), announce(record), record)
         for name in ("alice_bits", "bob_bits", "kept_indices"):
             np.testing.assert_array_equal(getattr(pair, name), getattr(ref, name))
+
+
+    @staticmethod
+    def loop_sift(kinds, d_b):
+        """Per-click reference: a click is kept if no other click shares its
+        symbol k, and symbol k mod len(kinds) is a bit."""
+        alice, bob, kept = [], [], []
+        for i, slot in enumerate(d_b.tolist()):
+            k = slot // 2
+            if k in (d_b[i - 1] // 2 if i else -1, d_b[i + 1] // 2 if i + 1 < len(d_b) else -1):
+                continue  # a double click
+            kind = kinds[k % len(kinds)]
+            if kind != DECOY:
+                alice.append(int(kind == BIT1))
+                bob.append(slot % 2)
+                kept.append(k)
+        return SiftedKeyPair(alice_bits=np.array(alice, dtype=np.int8),
+                             bob_bits=np.array(bob, dtype=np.int8),
+                             kept_indices=np.array(kept, dtype=d_b.dtype))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=st.lists(st.sampled_from([BIT0, BIT1, DECOY]), min_size=1, max_size=12).flatmap(
+        lambda kinds: st.tuples(st.just(kinds), st.sets(st.integers(0, 8 * len(kinds) - 1)))))
+    @example(case=([BIT0, DECOY], set()))  # an empty record
+    def test_matches_per_click_loop(self, case):
+        # up to four frames: clicks past the first index symbols at or past n_symbols
+        kinds, slots = case
+        d_b = np.array(sorted(slots), dtype=int)
+        pair, ref = sift(stream_of(kinds), d_b), self.loop_sift(kinds, d_b)
+        for name in ("alice_bits", "bob_bits", "kept_indices"):
+            got, want = getattr(pair, name), getattr(ref, name)
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype, name
 
 
 class TestEstimateParameters:

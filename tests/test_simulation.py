@@ -870,6 +870,11 @@ class TestDeadtime:
     @settings(max_examples=300, deadline=None)
     @given(gaps=st.lists(st.integers(0, 12), max_size=300),
            deadtime=st.integers(1, 8), step=st.sampled_from([0.5, 1.0, 2.5]))
+    # a burst: the click after a head's next is close too, so the first jump searches
+    @example(gaps=[0] + [1] * 30, deadtime=8, step=1.0)
+    # a later jump lands on 8, whose next click (16) is a deadtime away and so is
+    # kept: a jump from 8 must not skip to the click after it (17)
+    @example(gaps=[0, 1, 4, 3, 8, 1, 12, 1], deadtime=8, step=1.0)
     def test_matches_one_pass_over_every_click(self, gaps, deadtime, step):
         # half-integer grids hold repeated times and gaps exactly one deadtime
         times = np.cumsum(gaps) * step
@@ -882,6 +887,10 @@ class TestDeadtime:
            deadtime=st.sampled_from([10000.0, 1e4 / 3, 7e9 / 434e6, 0.1]))
     @example(clicks=[], deadtime=10000.0)
     @example(clicks=[(3, 4, None)], deadtime=10000.0)
+    # the preset's borderline: clicks 6 frames apart, 6 * 1e9/600e3 against 10000 ns,
+    # met by a head's click after next and again by a later search
+    @example(clicks=[(0, 3, None), (1, 0, None), (5, 3, None), (0, 5, None), (1, 0, None),
+                     (2, 0, None), (3, 3, None)], deadtime=10000.0)
     def test_matches_one_pass_at_float_edges(self, clicks, deadtime):
         # framed times on a 600 kHz frame clock and a 434 MHz pulse clock, none
         # dyadic; a click with a nudge sits that many floats off t + deadtime
