@@ -32,8 +32,6 @@ FRAME_PATTERNS = {
     "D010": (DECOY, BIT0, BIT1, BIT0),
 }
 
-_STAGES = (10, 11, 12)  # the Philox stage ids of D_B, D_M1 and D_M2
-
 DETECTORS = ("D_B", "D_M1", "D_M2")
 
 
@@ -87,8 +85,7 @@ def run_experiment(config: ExperimentConfig, seed: int) -> ExperimentResult:
                          config.params.mu)
     n_pulses = 2 * frame.n_symbols
     n_slots = max(int(config.gate_ns // tau) + 1, n_pulses + 1)
-    clicks = dict(zip(DETECTORS, _frame_chain(config, frame, seed, _STAGES, config.n_frames,
-                                              n_slots, config.frame_period_ns)))
+    clicks = dict(zip(DETECTORS, _frame_chain(config, frame, seed, n_slots)))
     ss = {name: s for name, (_, _, s) in clicks.items()}
 
     counts = {name: np.bincount(s, minlength=n_slots) for name, s in ss.items()}

@@ -194,10 +194,9 @@ def visibility_robustness(params_template: ProtocolParams, loss_db: float,
     Each numerator and denominator is separately mu-optimized. A vanishing
     denominator flags the ratio undefined (NaN) rather than raising.
     """
-    batch = [replace(params_template, loss_db=loss_db, v=v) for v in (v_low, v_high)]
-    ratios = {}
-    for protocol in (Protocol.COW, Protocol.BB84_DECOY):
-        _, (low, high), _ = _optimize(batch, protocol, model, spec, mode)
-        ratios[protocol] = low / high if high > 0.0 else float("nan")
-    return RobustnessResult(cow_ratio=ratios[Protocol.COW],
-                            bb84_decoy_ratio=ratios[Protocol.BB84_DECOY])
+    points = sweep_loss(params_template, (Protocol.COW, Protocol.BB84_DECOY), [loss_db],
+                        model, spec, (v_low, v_high), mode)
+    rates = [point.r_sk_star for point in points]  # (low, high) per protocol
+    cow, bb84 = (low / high if high > 0.0 else float("nan")
+                 for low, high in zip(rates[::2], rates[1::2]))
+    return RobustnessResult(cow_ratio=cow, bb84_decoy_ratio=bb84)

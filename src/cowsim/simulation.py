@@ -6,9 +6,10 @@ slots, the interferometer adds one trailing slot. Randomness comes from
 counter-based Philox streams keyed by (seed, stage), so every draw layout is a
 fixed function of the pulse train. Each detector draws candidate slots by
 geometric gaps at a bound on its click probability and thins them to the exact
-one, so detection costs O(clicks), not O(slots). A candidate looks its intensity
-up: the optics are evaluated once per run and pulse code, not per candidate. Only
-the monitors read pulse phases, and only at boundary slots. No intra-slot jitter.
+one, so detection costs O(clicks), not O(slots). A candidate looks its click
+probability up: the optics and the detector are evaluated once per run and pulse
+code, not per candidate. Only the monitors read pulse phases, and only at
+boundary slots. No intra-slot jitter.
 
 The chain here samples an i.i.d. stream. The framed mode of cowsim.experiment
 repeats one short frame, so it draws each slot class of the frame exactly from
@@ -47,9 +48,8 @@ BIT0, BIT1, DECOY = 0, 1, 2
 # Philox stage ids; each pipeline stage owns an independent substream.
 _STAGE_SYMBOLS = 1
 _STAGE_ATTACK = 2
-_STAGE_DATA = 3
-_STAGE_M1 = 4
-_STAGE_M2 = 5
+_STAGE_STREAM = (3, 4, 5)  # D_B, D_M1 and D_M2 of a stream
+_STAGE_FRAMED = (10, 11, 12)  # D_B, D_M1 and D_M2 of a framed run
 
 # trials per chunk of a Bernoulli draw (a multiple of 8); bounds its byte scratch
 _CHUNK = 1 << 16
@@ -275,14 +275,12 @@ def _click_probability(intensity, eta: float, p_d: float, background: float):
     return 1.0 - (1.0 - p_d) * (1.0 - background) * np.exp(-eta * intensity)
 
 
-def detect(intensity: np.ndarray, p_hat: float | np.ndarray, eta: float, p_d: float,
-           rng: np.random.Generator, background: float = 0.0) -> np.ndarray:
+def detect(p: np.ndarray, p_hat: float | np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Threshold detector at candidate slots drawn with probability p_hat (one
     value or one per candidate): one uniform keeps each with probability p / p_hat,
-    where p = 1 - (1-p_d)(1-bg) exp(-eta I) <= p_hat is its click probability.
-    With p_hat = 1 every slot is a candidate. Returns the clicking candidates' mask."""
-    p = _click_probability(np.asarray(intensity, dtype=float), eta, p_d, background)
-    return rng.random(p.shape) * p_hat < p
+    for its click probability p = 1 - (1-p_d)(1-bg) exp(-eta I) <= p_hat. With
+    p_hat = 1 every slot is a candidate. Returns the clicking candidates' mask."""
+    return rng.random(np.shape(p)) * p_hat < p
 
 
 def _bright_runs(stream: SymbolStream) -> tuple:
@@ -393,21 +391,22 @@ def _wilson(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
 
 
 def _optics(config: OpticsConfig, table: np.ndarray) -> tuple:
-    """A run's per-code tables, the last code no pulse: the D_B intensity of
-    each pulse code, both monitor ports for each ordered code pair in phase,
+    """A run's per-code tables, the last code no pulse: the D_B click probability
+    of each pulse code, each monitor port's for each ordered code pair in phase,
     and the monitor-line amplitude."""
-    data, monitor = propagate(np.append(table, 0.0), config.params)
-    ports = interferometer_outputs(monitor[:, None], monitor, 0.0, config.params.v,
-                                   config.insertion_loss)
-    return data, ports, monitor
+    p = config.params
+    data, monitor = propagate(np.append(table, 0.0), p)
+    ports = interferometer_outputs(monitor[:, None], monitor, 0.0, p.v, config.insertion_loss)
+    click = [_click_probability(i, p.eta, p.p_d, config.background) for i in (data, *ports)]
+    return click[0], click[1:], monitor
 
 
-def _intensity(config: OpticsConfig, tables: tuple, stream: SymbolStream, k: int,
-               ss: np.ndarray, near: np.ndarray) -> np.ndarray:
-    """Intensity at D_B (k = 0), D_M1 or D_M2 at slots ss of one pass of the train:
-    from the tables (_optics) by pulse code, on a monitor by the codes of pulses
-    j - 1 and j. Only ss[near] may step in phase; a slot whose step is nonzero is
-    evaluated alone, by the tables' expression."""
+def _probability(config: OpticsConfig, tables: tuple, stream: SymbolStream, k: int,
+                 ss: np.ndarray, near: np.ndarray) -> np.ndarray:
+    """Click probability of D_B (k = 0), D_M1 or D_M2 at slots ss of one pass of
+    the train: from the tables (_optics) by pulse code, on a monitor by the codes
+    of pulses j - 1 and j. Only ss[near] may step in phase; a slot whose step is
+    nonzero is evaluated alone, by the tables' expressions."""
     data, ports, monitor = tables
     if k == 0:
         return data.take(stream.codes(ss))
@@ -417,37 +416,36 @@ def _intensity(config: OpticsConfig, tables: tuple, stream: SymbolStream, k: int
         at, dphi = stream.phase_steps(ss[near])
         at = near[at]
         left, right = np.divmod(pair[at], len(monitor))
-        out[at] = interferometer_outputs(monitor[left], monitor[right], dphi,
-                                         config.params.v, config.insertion_loss)[k - 1]
+        p = config.params
+        stepped = interferometer_outputs(monitor[left], monitor[right], dphi, p.v,
+                                         config.insertion_loss)
+        out[at] = _click_probability(stepped[k - 1], p.eta, p.p_d, config.background)
     return out
 
 
-def _run_chain(config: OpticsConfig, stream: SymbolStream, seed: int,
-              stages: tuple[int, int, int]) -> list:
+def _run_chain(config: OpticsConfig, stream: SymbolStream, seed: int) -> list:
     """Clicks of D_B, D_M1 and D_M2 over the stream, each as one ascending
-    array of slots; stages are the detectors' Philox stage ids. The optics are
-    evaluated once per run, per pulse code (_optics). Candidate slots (see
-    detect) are drawn per class: slots touching a run of resent windows at the
-    bound of the brightest code, all others at the bound of Alice's brightest.
-    Only an attacked stream resends, and only its resent-class candidates look
-    their phase step up. Deadtime acts on the times slot * pulse_period_ns."""
+    array of slots. The click probabilities are evaluated once per run, per
+    pulse code (_optics). Candidate slots (see detect) are drawn per class:
+    slots touching a run of resent windows at the bound of the brightest code,
+    all others at the bound of Alice's brightest. Only an attacked stream
+    resends, and only its resent-class candidates look their phase step up.
+    Deadtime acts on the times slot * pulse_period_ns."""
     params = config.params
     tables = _optics(config, stream.table)
     data, ports, _ = tables
     # bounds at the tables' maxima: over Alice's six codes (they come first), or all
-    peaks = np.array([[data[:6].max(), data.max()], [ports[0][:6, :6].max(), ports[0].max()]])
-    bounds = _click_probability(peaks, params.eta, params.p_d, config.background).tolist()
+    bounds = [[data[:6].max(), data.max()], [ports[0][:6, :6].max(), ports[0].max()]]
     first, last = _bright_runs(stream)
     clicks = []
-    for k, stage in enumerate(stages):
+    for k, stage in enumerate(_STAGE_STREAM):
         rng = stage_rng(seed, stage)
         n_slots = 2 * stream.n_symbols + (k > 0)  # one more monitor slot
         slots, p_hat, hi_at = _class_candidates(rng, *bounds[k > 0], n_slots,
                                                 first, last, 2 + (k > 0))
-        intensity = _intensity(config, tables, stream, k, slots, hi_at)
+        p = _probability(config, tables, stream, k, slots, hi_at)
         # integer indices: a boolean mask this irregular gathers several times slower
-        slots = slots[np.flatnonzero(detect(intensity, p_hat, params.eta, params.p_d,
-                                            rng, config.background))]
+        slots = slots[np.flatnonzero(detect(p, p_hat, rng))]
         if config.deadtime_ns > 0.0:
             keep = _suppress_deadtime(slots * params.pulse_period_ns, config.deadtime_ns)
             slots = slots[np.flatnonzero(keep)]
@@ -455,24 +453,22 @@ def _run_chain(config: OpticsConfig, stream: SymbolStream, seed: int,
     return clicks
 
 
-def _frame_chain(config: OpticsConfig, frame: SymbolStream, seed: int,
-                 stages: tuple[int, int, int], n_frames: int, n_slots: int,
-                 frame_period_ns: float) -> list:
-    """_run_chain's clicks over n_frames repetitions of the frame, each as (slots,
-    frames, slots within the frame) of absolute slots frame * n_slots + slot, drawn
-    exactly: one frame's lit slots of equal click probability p form a class of m
-    slots, in ascending p, drawn as one Bernoulli(p) process over n_frames * m slots
-    whose rank r is member r % m of frame r // m. The slots past the light are one
-    dark class, drawn last and mapped without a slot list. Deadtime acts on the
-    times frame * frame_period_ns + slot * pulse_period_ns."""
-    params = config.params
+def _frame_chain(config, frame: SymbolStream, seed: int, n_slots: int) -> list:
+    """_run_chain's clicks over the config's n_frames repetitions of the frame (an
+    ExperimentConfig), each as (slots, frames, slots within the frame) of absolute
+    slots frame * n_slots + slot, drawn exactly: one frame's lit slots of equal
+    click probability p form a class of m slots, in ascending p, drawn as one
+    Bernoulli(p) process over n_frames * m slots whose rank r is member r % m of
+    frame r // m. The slots past the light are one dark class at the no-pulse
+    code's probability, drawn last and mapped without a slot list. Deadtime acts
+    on the times frame * frame_period_ns + slot * pulse_period_ns."""
+    params, n_frames = config.params, config.n_frames
     tables = _optics(config, frame.table)
     clicks = []
-    for k, stage in enumerate(stages):
+    for k, stage in enumerate(_STAGE_FRAMED):
         rng = stage_rng(seed, stage)
         lit = np.arange(2 * frame.n_symbols + (k > 0))  # one more monitor slot
-        p = _click_probability(_intensity(config, tables, frame, k, lit, lit[:0]),
-                               params.eta, params.p_d, config.background)
+        p = _probability(config, tables, frame, k, lit, lit[:0])
         parts = []
         for value in sorted(set(p.tolist())):  # the classes, in ascending p
             members = lit[p == value]
@@ -482,14 +478,13 @@ def _frame_chain(config: OpticsConfig, frame: SymbolStream, seed: int,
             ff *= n_slots
             parts.append(np.add(ff, members.take(r), out=ff))
         dark = n_slots - len(lit)  # rank f * dark + s is slot len(lit) + s of frame f
-        r = _candidates(rng, _click_probability(0.0, params.eta, params.p_d, config.background),
-                        n_frames * dark)
+        r = _candidates(rng, tables[0][-1], n_frames * dark)  # the no-pulse code's p
         parts.append(r + (r // max(dark, 1) + 1) * len(lit))
         slots = np.sort(np.concatenate(parts), kind="stable")  # merges the ascending parts
         del parts, ff  # held through the steps below, they would fragment the heap
         if config.deadtime_ns > 0.0:
             ff = slots // n_slots
-            times = ff * frame_period_ns
+            times = ff * config.frame_period_ns
             ff *= n_slots  # in place, to each click's slot within its frame
             times += np.subtract(slots, ff, out=ff) * params.pulse_period_ns
             del ff
@@ -546,7 +541,7 @@ def simulate_stream(config: OpticsConfig, stream: SymbolStream, seed: int) -> Si
     slots from the train's length and its windows' peak amplitudes, then one
     uniform each.
     """
-    d_b, d_m1, d_m2 = _run_chain(config, stream, seed, (_STAGE_DATA, _STAGE_M1, _STAGE_M2))
+    d_b, d_m1, d_m2 = _run_chain(config, stream, seed)
     stats = _monitoring_tally(stream.kinds, d_m1, d_m2)
 
     kind = stream.kinds[d_b >> 1]

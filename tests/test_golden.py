@@ -22,6 +22,8 @@ The cases whose purpose is not in their name:
   class although none is brighter than Alice's pulses. It aborts (exit 2).
 - config_file_flags reads a configuration file together with the dedicated
   flags, which come after it in precedence.
+- optimize and curve_exact pin the two analysis paths that no other case runs:
+  the optimize command and the exact counting rate.
 
 Run as a script, `python tests/test_golden.py` prints every case's current
 exit code and digests, marking those that moved, so that a deliberate layout
@@ -90,6 +92,13 @@ GOLDEN = {
          "--set", "attack=intercept-resend", "--set", "p_ir=1", "--set", "eta=0.02",
          "--set", "t_b=0.5", "--set", "p_d=1e-2", "--seed", "3"], 2,
         {"out.csv": "d1143f9f5d427e047d95f299964f52cbd9f082a71f138a11637379307d4e3f6e"}),
+    "optimize": (
+        ["optimize", "--set", "loss_db=10"], 0,
+        {"out.csv": "fc568f873fad233cb85941455c272b8764cea275ccbe4bbbe39fbc9241c8a198"}),
+    "curve_exact": (
+        ["curve", "--set", "rate_mode=exact", "--set", "loss_grid=0,10,20",
+         "--set", "visibilities=1.0,0.8"], 0,
+        {"out.csv": "0dd6b22b6157f4ae2a43897f8ac1e3090189a2a5bc53f06faa0f0f2aa5a34e63"}),
 }
 
 

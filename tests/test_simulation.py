@@ -47,8 +47,8 @@ from cowsim.simulation import (
     _candidates,
     _class_candidates,
     _click_probability,
-    _intensity,
     _optics,
+    _probability,
     _run_chain,
     _suppress_deadtime,
     _wilson,
@@ -434,19 +434,42 @@ class TestInterfere:
 
 class TestDetect:
     def test_dark_free_vacuum_never_clicks(self):
-        clicks = detect(np.zeros(10000), 1.0, 0.1, 0.0, stage_rng(1, 99))
+        clicks = detect(_click_probability(np.zeros(10000), 0.1, 0.0, 0.0), 1.0,
+                        stage_rng(1, 99))
         assert not np.any(clicks)
 
     def test_bright_always_clicks(self):
-        clicks = detect(np.full(1000, 1e6), 1.0, 1.0, 0.0, stage_rng(1, 99))
+        clicks = detect(_click_probability(np.full(1000, 1e6), 1.0, 0.0, 0.0), 1.0,
+                        stage_rng(1, 99))
         assert np.all(clicks)
 
     def test_click_fraction(self):
         n = 1_000_000
-        clicks = detect(np.full(n, 0.5), 1.0, 0.1, 0.0, stage_rng(5, 99))
+        clicks = detect(_click_probability(np.full(n, 0.5), 0.1, 0.0, 0.0), 1.0,
+                        stage_rng(5, 99))
         p = 0.04877057549928599
         sigma = math.sqrt(p * (1.0 - p) / n)
         assert abs(np.mean(clicks) - p) < 3.0 * sigma
+
+    @staticmethod
+    def assert_kept_fraction(p, p_hat, seed):
+        """Each candidate is kept with probability p / p_hat: the kept count
+        within 5 sigma of its mean, and every candidate kept where p = p_hat."""
+        ratio = np.broadcast_to(p / p_hat, p.shape)
+        kept = detect(p, p_hat, stage_rng(seed, 99))
+        mean, var = float(np.sum(ratio)), float(np.sum(ratio * (1.0 - ratio)))
+        assert abs(np.count_nonzero(kept) - mean) < 5.0 * math.sqrt(var)
+        assert np.all(kept[ratio == 1.0])
+
+    def test_thinning_at_one_bound(self):
+        p = np.repeat([0.0, 0.01, 0.05, 0.2], 250_000)
+        self.assert_kept_fraction(p, 0.2, seed=6)
+
+    def test_thinning_at_a_bound_per_candidate(self):
+        rng = np.random.default_rng(7)
+        p_hat = rng.choice([0.003, 0.04, 0.3, 1.0], 1_000_000)
+        p = p_hat * rng.choice([0.0, 0.25, 0.9, 1.0], len(p_hat))
+        self.assert_kept_fraction(p, p_hat, seed=7)
 
 
 def slot_classes(p, n_bins=8):
@@ -477,7 +500,6 @@ class TestSparseSampler:
     """The sparse draw has the distribution of one Bernoulli draw per slot."""
 
     N_SEEDS = 200
-    STAGES = (3, 4, 5)
 
     def stream_config(self):
         p = params(t_b=0.5, eta=0.25, f=0.3, p_d=1e-3, v=0.92)
@@ -487,7 +509,7 @@ class TestSparseSampler:
         dense = dense_click_probabilities(cfg, *dense_train(stream))
         counts = [np.zeros(len(p), dtype=np.int64) for p in dense]
         for seed in range(self.N_SEEDS):
-            for k, ss in enumerate(_run_chain(cfg, stream, seed, self.STAGES)):
+            for k, ss in enumerate(_run_chain(cfg, stream, seed)):
                 assert np.all(ss < len(dense[k])) and np.all(np.diff(ss) > 0)
                 counts[k] += np.bincount(ss, minlength=len(dense[k]))
         for c, p in zip(counts, dense):
@@ -639,7 +661,7 @@ class TestClickBounds:
                            insertion_loss=il, background=bg)
         with mock.patch.object(simulation, "_class_candidates",
                                wraps=_class_candidates) as spy:
-            _run_chain(cfg, stream, 0, (3, 4, 5))
+            _run_chain(cfg, stream, 0)
         drawn = [c.args[1:3] for c in spy.call_args_list]
         expected = zip(reference_click_bounds(cfg, math.sqrt(mu)),
                        reference_click_bounds(cfg, table.max()))
@@ -711,14 +733,14 @@ class TestCandidates:
 
 
 class TestIntensityTables:
-    """The chain's intensities, looked up per pulse code, equal every slot's
-    optics evaluated over the whole train, bit for bit."""
+    """The chain's click probabilities, looked up per pulse code, equal every
+    slot's optics and detector evaluated over the whole train, bit for bit."""
 
     def assert_exact(self, cfg, stream, n_slots=0):
         tables = _optics(cfg, stream.table)
-        for k, dense in enumerate(dense_intensities(cfg, *dense_train(stream), n_slots)):
+        for k, dense in enumerate(dense_click_probabilities(cfg, *dense_train(stream), n_slots)):
             every = np.arange(len(dense))
-            assert np.array_equal(_intensity(cfg, tables, stream, k, every, every), dense), k
+            assert np.array_equal(_probability(cfg, tables, stream, k, every, every), dense), k
 
     def test_short_attacked_train(self):
         self.assert_exact(*short_attacked_train())
